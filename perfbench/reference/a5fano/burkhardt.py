@@ -1,0 +1,434 @@
+"""The 45-node quartic threefold cut out by the first and fourth elementary
+symmetric polynomials in P^5, its 40 distinguished planes, and the lattice
+they span.
+
+Everything is verified over Q(omega): the two singular orbits, the node
+certificates, the nine-points-per-plane incidence, the combinatorial
+meet-type rule for plane pairs (cross-checked against linear algebra for all
+780 pairs), the Gram ranks of the full plane lattice and its two 20-plane
+blocks, and the invariant ranks under the full coordinate-permutation group
+and its alternating and icosahedral subgroups.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+
+from .exactfield import omega_field
+from .groups import (
+    Perm,
+    alternating_group_a6,
+    canonical_point,
+    orbit_of,
+    subgroup_nonstandard_A5,
+    subgroup_standard_A5,
+    symmetric_group_s6,
+)
+from .lattice import (
+    GramMatrix,
+    determinant,
+    invariant_dimension_via_trace,
+    orbit_sum_gram,
+    rank,
+)
+from .multipoly import PolyRing, dehomogenize, evaluate, gradient, hessian_at, substitute
+
+
+class IdenticalPlanes(ValueError):
+    pass
+
+
+class NotCTwo(ValueError):
+    pass
+
+
+class RuleMismatch(RuntimeError):
+    """Geometric meet-type disagrees with the combinatorial prediction."""
+
+
+@dataclass(frozen=True)
+class JPlane:
+    """A plane on the quartic, indexed by a sorted triple and a sign.
+
+    The plane identifies the three coordinates of the triple up to the two
+    possible cube-root twists; which twist is which is encoded by the sign.
+    """
+
+    triple: tuple
+    sign: str
+
+    def cycle(self):
+        i1, i2, i3 = self.triple
+        return (i1, i2, i3) if self.sign == "+" else (i1, i3, i2)
+
+    def contains_index(self, i):
+        return i in self.triple
+
+    def label(self):
+        return self.sign + "".join(str(i) for i in self.triple)
+
+
+def _canonical_cycle(cycle):
+    m = min(cycle)
+    k = cycle.index(m)
+    a, b, c = cycle[k:] + cycle[:k]
+    sign = "+" if b < c else "-"
+    return JPlane((a,) + tuple(sorted((b, c))), sign)
+
+
+def perm_on_plane(g, plane):
+    """The image plane under a coordinate permutation."""
+    a, b, c = plane.cycle()
+    return _canonical_cycle((g(a), g(b), g(c)))
+
+
+def all_planes():
+    planes = []
+    for triple in combinations(range(6), 3):
+        for sign in ("+", "-"):
+            planes.append(JPlane(triple, sign))
+    return planes
+
+
+@dataclass(frozen=True)
+class BurkhardtModel:
+    field: object
+    omega: object
+    ring6: PolyRing
+    ring5: PolyRing
+    sigma1: object
+    sigma4: object
+    quartic_p4: object
+    orbit30: tuple
+    orbit15: tuple
+    singular_points: tuple
+    planes: tuple
+
+
+def elementary_symmetric(ring, k):
+    gens = ring.gens()
+    acc = ring.zero
+    for combo in combinations(gens, k):
+        term = ring.one
+        for g in combo:
+            term = term * g
+        acc = acc + term
+    return acc
+
+
+def plane_forms(model, plane):
+    """The three linear forms cutting out the plane inside P^5."""
+    x = model.ring6.gens()
+    om = model.omega
+    a, b, c = plane.cycle()
+    return (x[b] - x[a] * om, x[c] - x[a] * (om * om), model.sigma1)
+
+
+def plane_basis(model, plane):
+    """Three spanning points of the plane, as vectors over Q(omega)."""
+    field, om = model.field, model.omega
+    a, b, c = plane.cycle()
+    rest = [i for i in range(6) if i not in (a, b, c)]
+    k1, k2, k3 = rest
+    zero, one = field.zero, field.one
+    b1 = [zero] * 6
+    b1[a], b1[b], b1[c] = one, om, om * om
+    b2 = [zero] * 6
+    b2[k1], b2[k3] = one, -one
+    b3 = [zero] * 6
+    b3[k2], b3[k3] = one, -one
+    return (tuple(b1), tuple(b2), tuple(b3))
+
+
+def build_model():
+    field, om = omega_field()
+    ring6 = PolyRing(field, tuple(f"x{i}" for i in range(6)))
+    ring5 = PolyRing(field, tuple(f"x{i}" for i in range(5)))
+    sigma1 = elementary_symmetric(ring6, 1)
+    sigma4 = elementary_symmetric(ring6, 4)
+    g5 = ring5.gens()
+    minus_sum = -(g5[0] + g5[1] + g5[2] + g5[3] + g5[4])
+    quartic_p4 = substitute(sigma4, list(g5) + [minus_sum])
+
+    s6_gens = [Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
+
+    def perm_act(g, pt):
+        return g.act_point(pt)
+
+    pt30 = tuple(field(c) for c in (1, 1, om, om, om * om, om * om))
+    pt15 = tuple(field(c) for c in (1, -1, 0, 0, 0, 0))
+    orbit30 = orbit_of(pt30, s6_gens, act=perm_act, canonicalize=canonical_point,
+                       group_order=720)
+    orbit15 = orbit_of(pt15, s6_gens, act=perm_act, canonicalize=canonical_point,
+                       group_order=720)
+    points = tuple(sorted(orbit30.members | orbit15.members,
+                          key=lambda p: tuple(str(c) for c in p)))
+    return BurkhardtModel(
+        field=field,
+        omega=om,
+        ring6=ring6,
+        ring5=ring5,
+        sigma1=sigma1,
+        sigma4=sigma4,
+        quartic_p4=quartic_p4,
+        orbit30=tuple(orbit30.members),
+        orbit15=tuple(orbit15.members),
+        singular_points=points,
+        planes=tuple(all_planes()),
+    )
+
+
+def certify_node(model, point):
+    """Check a projective point of the quartic is a node (in the P^4 model)."""
+    p4 = point[:5]
+    chart = next((i for i, c in enumerate(p4) if not c.is_zero()), None)
+    if chart is None:
+        return False, "point lies outside the P^4 chart cover"
+    scale = p4[chart].inverse()
+    p4 = [c * scale for c in p4]
+    if not evaluate(model.sigma1, point).is_zero():
+        return False, "point misses the hyperplane"
+    if not evaluate(model.sigma4, point).is_zero():
+        return False, "point misses the quartic"
+    for pd in gradient(model.quartic_p4):
+        if not evaluate(pd, p4).is_zero():
+            return False, "gradient does not vanish"
+    affine = dehomogenize(model.quartic_p4, chart)
+    affine_pt = [c for i, c in enumerate(p4) if i != chart]
+    hess = hessian_at(affine, affine_pt)
+    if determinant(hess).is_zero():
+        return False, "degenerate quadratic part"
+    return True, "node"
+
+
+def verify_nodes(model):
+    failures = []
+    for pt in model.singular_points:
+        ok, reason = certify_node(model, pt)
+        if not ok:
+            failures.append((tuple(str(c) for c in pt), reason))
+    return {
+        "points": len(model.singular_points),
+        "orbit_lengths": sorted((len(model.orbit30), len(model.orbit15)), reverse=True),
+        "nodes": len(model.singular_points) - len(failures),
+        "failures": failures,
+    }
+
+
+def point_on_plane(model, plane, point):
+    forms = plane_forms(model, plane)
+    return all(evaluate(f, point).is_zero() for f in forms)
+
+
+def plane_lies_on_quartic(model, plane):
+    basis = plane_basis(model, plane)
+    ring3 = PolyRing(model.field, ("t", "u", "v"))
+    t, u, v = ring3.gens()
+    images = []
+    for i in range(6):
+        images.append(t * basis[0][i] + u * basis[1][i] + v * basis[2][i])
+    return substitute(model.sigma4, images).is_zero()
+
+
+def plane_incidence(model):
+    per_plane = {}
+    per_point = {i: 0 for i in range(len(model.singular_points))}
+    for plane in model.planes:
+        count = 0
+        for idx, pt in enumerate(model.singular_points):
+            if point_on_plane(model, plane, pt):
+                count += 1
+                per_point[idx] += 1
+        per_plane[plane.label()] = count
+    on_quartic = sum(1 for plane in model.planes if plane_lies_on_quartic(model, plane))
+    return {
+        "per_plane": per_plane,
+        "per_point_counts": sorted(set(per_point.values())),
+        "planes_on_quartic": on_quartic,
+    }
+
+
+def plane_pair_meet(model, a, b):
+    """'line' or 'point' according to the projective dimension of the meet."""
+    if a == b:
+        raise IdenticalPlanes(a.label())
+    rows = []
+    for form in plane_forms(model, a) + plane_forms(model, b):
+        rows.append([form.coefficient(tuple(1 if j == i else 0 for j in range(6)))
+                     for i in range(6)])
+    r = rank(rows)
+    if r == 4:
+        return "line"
+    if r == 5:
+        return "point"
+    raise RuleMismatch(f"unexpected meet rank {r} for {a.label()} vs {b.label()}")
+
+
+def delta_rule(triple_a, triple_b):
+    """The position-matching invariant for triples sharing two indices."""
+    shared = set(triple_a) & set(triple_b)
+    if len(shared) != 2:
+        raise NotCTwo(f"{triple_a} and {triple_b} share {len(shared)} indices")
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for ap in range(3):
+                for bp in range(ap + 1, 3):
+                    if (
+                        triple_a[a] == triple_b[ap]
+                        and triple_a[b] == triple_b[bp]
+                        and b - a == bp - ap
+                    ):
+                        return 1
+    return 0
+
+
+def predicted_pairing(a, b):
+    """The combinatorial intersection value of two distinct planes."""
+    shared = len(set(a.triple) & set(b.triple))
+    if a.triple == b.triple:
+        return 1  # opposite twists over one triple always meet along a line
+    if shared == 2:
+        delta = delta_rule(a.triple, b.triple)
+        return delta if a.sign == b.sign else 1 - delta
+    if shared == 1:
+        return 0
+    return 1
+
+
+def plane_sort_key(plane):
+    return (plane.contains_index(5), plane.triple, plane.sign)
+
+
+def build_gram(model):
+    """The 40x40 pairing matrix, with every entry cross-checked geometrically."""
+    planes = sorted(model.planes, key=plane_sort_key)
+    labels = [p.label() for p in planes]
+    n = len(planes)
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = -2
+        for j in range(i + 1, n):
+            combinatorial = predicted_pairing(planes[i], planes[j])
+            meet = plane_pair_meet(model, planes[i], planes[j])
+            geometric = 1 if meet == "line" else 0
+            if combinatorial != geometric:
+                raise RuleMismatch(
+                    f"{labels[i]} vs {labels[j]}: rule predicts {combinatorial}, "
+                    f"geometry gives {geometric}"
+                )
+            entries[i][j] = geometric
+            entries[j][i] = geometric
+    gram = GramMatrix(labels, entries)
+    block_without_5 = gram.submatrix(range(0, 20))
+    block_with_5 = gram.submatrix(range(20, 40))
+    assert all(not p.contains_index(5) for p in planes[:20])
+    assert all(p.contains_index(5) for p in planes[20:])
+    return gram, block_without_5, block_with_5
+
+
+def _plane_index(gram):
+    planes = {}
+    for i, label in enumerate(gram.labels):
+        sign = label[0]
+        triple = tuple(int(ch) for ch in label[1:])
+        planes[i] = JPlane(triple, sign)
+    index = {(p.triple, p.sign): i for i, p in planes.items()}
+    return planes, index
+
+
+def plane_permutation(gram, g):
+    """The permutation induced on the Gram labels by a coordinate permutation."""
+    planes, index = _plane_index(gram)
+    images = [0] * len(gram.labels)
+    for i in range(len(gram.labels)):
+        img = perm_on_plane(g, planes[i])
+        images[i] = index[(img.triple, img.sign)]
+    return tuple(images)
+
+
+def verify_plane_action_geometric(model, g, plane):
+    """Check the combinatorial image of a plane matches the geometric image."""
+    img = perm_on_plane(g, plane)
+    forms = plane_forms(model, img)
+    for vec in plane_basis(model, plane):
+        moved = g.act_point(vec)
+        if not all(evaluate(f, moved).is_zero() for f in forms):
+            return False
+    return True
+
+
+SUBGROUPS = ("S6", "A6", "A5_standard", "A5_nonstandard")
+
+
+def subgroup_elements(name):
+    if name == "S6":
+        return symmetric_group_s6()
+    if name == "A6":
+        return alternating_group_a6()
+    if name == "A5_standard":
+        return subgroup_standard_A5()
+    if name == "A5_nonstandard":
+        return subgroup_nonstandard_A5()
+    raise KeyError(name)
+
+
+def _plane_orbits(perm_images):
+    from .groups import index_orbits
+
+    return index_orbits(perm_images)
+
+
+def invariant_ranks(model, gram, subgroups=SUBGROUPS):
+    """Both invariant-dimension computations for each subgroup; they must agree."""
+    out = {}
+    for name in subgroups:
+        elements = subgroup_elements(name)
+        perms = [plane_permutation(gram, g) for g in elements]
+        orbits = _plane_orbits(perms)
+        osum = orbit_sum_gram(gram, orbits)
+        rank_method = rank(osum)
+        trace_method = invariant_dimension_via_trace(gram, perms)
+        if rank_method != trace_method:
+            raise RuleMismatch(
+                f"{name}: orbit-sum rank {rank_method} != trace average {trace_method}"
+            )
+        out[name] = {
+            "orbit_lengths": sorted(len(o) for o in orbits),
+            "orbit_sum_rank": rank_method,
+            "trace_dimension": trace_method,
+            "invariant_rank": trace_method,
+        }
+    return out
+
+
+def smooth_control_point(model):
+    """A point of the quartic that is not one of the 45 singular points."""
+    field, om = model.field, model.omega
+    return tuple(field(c) for c in (1, om, om * om, 1, 1, -2))
+
+
+def build_report(model=None, gram_blocks=None, ranks=None):
+    """Run the whole scenario and collect the headline numbers."""
+    if model is None:
+        model = build_model()
+    nodes = verify_nodes(model)
+    incidence = plane_incidence(model)
+    gram, block_a, block_b = gram_blocks if gram_blocks is not None else build_gram(model)
+    if ranks is None:
+        ranks = invariant_ranks(model, gram)
+    return {
+        "orbit_lengths": nodes["orbit_lengths"],
+        "singular_points": nodes["points"],
+        "nodes_certified": nodes["nodes"],
+        "node_failures": nodes["failures"],
+        "planes": len(model.planes),
+        "planes_on_quartic": incidence["planes_on_quartic"],
+        "incidence_per_plane": sorted(set(incidence["per_plane"].values())),
+        "incidence_per_point": incidence["per_point_counts"],
+        "pair_rule_mismatches": 0,
+        "gram_rank_full": gram.rank(),
+        "gram_rank_block_without_5": block_a.rank(),
+        "gram_rank_block_with_5": block_b.rank(),
+        "invariant_ranks": ranks,
+    }
