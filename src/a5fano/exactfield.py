@@ -4,8 +4,17 @@ rational-function fields.
 Every coefficient in this package is one of these scalars; there is no
 floating point anywhere.  A number field is Q[x]/(m(x)) for a monic
 irreducible m of degree 1..4, with elements stored as coordinate vectors in
-the power basis.  The degree-1 field is plain Q.  Rational functions are
-reduced fractions of dense univariate polynomials over a number field.
+the power basis: integer numerators over one positive common denominator, as
+in ANTIC's `nf_elem`.  Products are integer convolutions reduced by integer
+rules for x^k mod m, unrolled for degrees 1 and 2; inverses are
+conjugate/norm for degree 2 and the adjugate of the integer multiplication
+matrix for degrees 3 and 4.  The degree-1 field is plain Q.
+
+`fractions.Fraction` remains where values enter and leave a field (the
+field's constructor, `FieldElement.coords`, `rational_value`, `str`, and
+`embed`, which reads `coords`), in the irreducibility checks, and in
+`rational_sqrt` and `sqrt_in_field`.  Rational functions are reduced
+fractions of dense univariate polynomials over a number field.
 """
 
 from __future__ import annotations
@@ -98,24 +107,6 @@ def _poly_gcd_monic(a, b):
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def _poly_ext_gcd(a, b, zero, one):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or empty for a=b=0)."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = [one], []
-    t0, t1 = [], [one]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, zero))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, zero))
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
 
 
 def _poly_eval(coeffs, point, zero):
@@ -248,15 +239,36 @@ def _has_rational_quadratic_factor(coeffs):
 # number fields
 # ---------------------------------------------------------------------------
 
+def _minor_det(rows):
+    """Determinant of a 2x2 or 3x3 integer matrix."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _reduced(field, num, den):
+    """The element num/den of `field`, for integer numerators and den > 0."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return FieldElement(field, num, den)
+
+
 class NumberField:
     """Q[x]/(m(x)) for a monic irreducible m of degree 1..4.
 
     Degree 1 is plain Q.  Elements are coordinate vectors in the power basis
     of the generator; two fields are interchangeable iff their minimal
-    polynomials agree.
+    polynomials agree.  The minimal polynomial may have rational
+    coefficients; the reduction rules x^k mod m (k = degree .. 2*degree-2)
+    are kept as integer rows over one common denominator.
     """
 
-    __slots__ = ("degree", "minpoly", "name", "_reduction", "_hash")
+    __slots__ = ("degree", "minpoly", "name", "_rows", "_rows_den", "_hash")
 
     def __init__(self, minpoly, name="a"):
         coeffs = tuple(Fraction(c) for c in minpoly)
@@ -282,11 +294,13 @@ class NumberField:
             top = cur[-1]
             cur = [shifted[i] + top * rel[i] for i in range(degree)]
             table.append(tuple(cur))
-        self._reduction = tuple(table)
+        den = math.lcm(*(c.denominator for row in table for c in row))
+        self._rows = tuple(tuple(int(c * den) for c in row) for row in table)
+        self._rows_den = den
         self._hash = hash(self.minpoly)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return self is other or (isinstance(other, NumberField) and self.minpoly == other.minpoly)
 
     def __hash__(self):
         return self._hash
@@ -298,69 +312,91 @@ class NumberField:
 
     @property
     def zero(self):
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return FieldElement(self, (0,) * self.degree, 1)
 
     @property
     def one(self):
-        return FieldElement(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self):
         if self.degree == 1:
-            return FieldElement(self, (-self.minpoly[0],))
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+            return self(-self.minpoly[0])
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def __call__(self, value):
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatch(f"cannot lift element of {value.field!r} into {self!r}")
             return value
-        if isinstance(value, (int, Fraction)):
-            coords = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-            return FieldElement(self, tuple(coords))
+        if isinstance(value, int):
+            return FieldElement(self, (int(value),) + (0,) * (self.degree - 1), 1)
+        if isinstance(value, Fraction):
+            return FieldElement(self, (value.numerator,) + (0,) * (self.degree - 1),
+                                value.denominator)
         coords = tuple(Fraction(c) for c in value)
         if len(coords) != self.degree:
             raise FieldError(f"expected {self.degree} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        return _reduced(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
-    def _reduce(self, conv):
-        """Reduce a convolution (length <= 2*degree-1) to the power basis."""
+    def _product(self, a, b):
+        """Integer numerators over `_rows_den` of the product of two integer
+        coordinate vectors."""
         n = self.degree
-        out = list(conv[:n]) + [Fraction(0)] * (n - len(conv[:n]))
-        for k in range(n, len(conv)):
-            c = conv[k]
-            if not c:
-                continue
-            row = self._reduction[k - n]
-            for i in range(n):
-                out[i] += c * row[i]
-        return tuple(out)
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        d = self._rows_den
+        out = conv[:n] if d == 1 else [d * c for c in conv[:n]]
+        for k, c in enumerate(conv[n:]):
+            if c:
+                row = self._rows[k]
+                for i in range(n):
+                    out[i] += c * row[i]
+        return out
 
 
 class FieldElement:
-    """An element of a NumberField, immutable, with exact arithmetic."""
+    """An element of a NumberField, immutable, with exact arithmetic.
 
-    __slots__ = ("field", "coords")
+    The element is stored as integer numerators `num`, one per power-basis
+    coordinate, over one positive integer denominator `den`, always reduced
+    so that gcd(den, *num) = 1 (zero is `(0, ..., 0), 1`); `==` and the hash
+    therefore compare structure.  Arithmetic is done in integers; Fraction
+    appears only at the boundaries: the field's constructor takes Fractions
+    in, and `coords`, `rational_value` and `str` hand them out.  A rational
+    element hashes like its Fraction.  Build elements through the field.
+    """
 
-    def __init__(self, field, coords):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise FieldError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -371,18 +407,26 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, tuple(a + b for a, b in zip(self.num, other.num)), da)
+        return _reduced(self.field,
+                        tuple(a * db + b * da for a, b in zip(self.num, other.num)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, tuple(a - b for a, b in zip(self.num, other.num)), da)
+        return _reduced(self.field,
+                        tuple(a * db - b * da for a, b in zip(self.num, other.num)), da * db)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -391,32 +435,69 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.field.degree
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    conv[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(conv))
+        field = self.field
+        den = self.den * other.den
+        n = field.degree
+        if n == 1:
+            return _reduced(field, (self.num[0] * other.num[0],), den)
+        if n == 2:
+            a0, a1 = self.num
+            b0, b1 = other.num
+            top = a1 * b1
+            r0, r1 = field._rows[0]
+            d = field._rows_den
+            if d == 1:
+                c0, c1 = a0 * b0 + top * r0, a0 * b1 + a1 * b0 + top * r1
+            else:
+                c0, c1 = d * a0 * b0 + top * r0, d * (a0 * b1 + a1 * b0) + top * r1
+                den *= d
+            if den != 1:
+                g = math.gcd(den, c0, c1)
+                if g != 1:
+                    c0, c1, den = c0 // g, c1 // g, den // g
+            return FieldElement(field, (c0, c1), den)
+        return _reduced(field, tuple(field._product(self.num, other.num)), den * field._rows_den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
-        a = _trim(list(self.coords))
-        m = list(self.field.minpoly)
-        g, u, _ = _poly_ext_gcd(a, m, Fraction(0), Fraction(1))
-        if g != [Fraction(1)]:
+        field = self.field
+        num, den = self.num, self.den
+        n = field.degree
+        if n == 1:
+            a = num[0]
+            return FieldElement(field, (den if a > 0 else -den,), abs(a))
+        d = field._rows_den
+        if n == 2:
+            # conjugate over norm; with x^2 = (r0 + r1 x)/d the conjugate of
+            # a0 + a1 x is (d a0 + r1 a1 - d a1 x)/d and its norm is norm/d
+            a0, a1 = num
+            r0, r1 = field._rows[0]
+            norm = d * a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
+            inv = (den * (d * a0 + r1 * a1), -den * d * a1)
+        else:
+            # the first column of the adjugate of d times the multiplication
+            # matrix of the integer element num, expanded along its first row
+            unit = [0] * n
+            cols = []
+            for j in range(n):
+                unit[j] = 1
+                cols.append(field._product(num, unit))
+                unit[j] = 0
+            cofactors = []
+            for i in range(n):
+                minor = [[cols[j][r] for j in range(n) if j != i] for r in range(1, n)]
+                det = _minor_det(minor)
+                cofactors.append(-det if i & 1 else det)
+            norm = sum(cols[i][0] * c for i, c in enumerate(cofactors))
+            inv = tuple(den * d * c for c in cofactors)
+        if norm == 0:
             raise FieldError("element not invertible; minimal polynomial not irreducible?")
-        if len(u) > self.field.degree:
-            _, u = _poly_divmod(u, m)
-        coords = tuple(u[i] if i < len(u) else Fraction(0) for i in range(self.field.degree))
-        return FieldElement(self.field, coords)
+        if norm < 0:
+            norm, inv = -norm, tuple(-c for c in inv)
+        return _reduced(field, inv, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -444,10 +525,14 @@ class FieldElement:
             other = self.field(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coords))
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
+        return hash((self.field._hash, num, den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -745,6 +830,9 @@ class RationalFunction:
         return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes like its coefficient, which it compares equal to
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(self.num[0]) if self.num else 0
         return hash((self.field.var, self.num, self.den))
 
     def __bool__(self):

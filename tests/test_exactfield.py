@@ -221,3 +221,25 @@ def test_field_element_printing_roundtrip_stability():
     assert str(2 * phi + 1) == "1 + 2*phi"
     assert str(field.zero) == "0"
     assert str(-phi) == "-phi"
+
+
+def _membership_cases():
+    field, phi = golden_field()
+    R = RationalFunctionField(field, "mu")
+    return {
+        "int-in-field": (3, field(3)),
+        "fraction-in-field": (Fraction(1, 2), field(Fraction(1, 2))),
+        "field-in-rational-functions": (phi, R(phi)),
+        "int-in-rational-functions": (3, R(3)),
+        "zero-in-rational-functions": (0, R.zero),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_membership_cases()))
+def test_hash_agrees_with_equality(case):
+    # equal values must hash alike, or set and dict lookups miss them
+    value, element = _membership_cases()[case]
+    assert element == value
+    assert hash(element) == hash(value)
+    assert value in {element}
+    assert element in {value}
