@@ -6,7 +6,7 @@ floating point anywhere.  A number field is Q[x]/(m(x)) for a monic
 irreducible m of degree 1..4, with elements stored as coordinate vectors in
 the power basis: integer numerators over one positive common denominator, as
 in ANTIC's `nf_elem`.  Products are integer convolutions reduced by integer
-rules for x^k mod m, unrolled for degrees 1 and 2; inverses are
+rules for x^k mod m, unrolled for degree 2; inverses are
 conjugate/norm for degree 2 and the adjugate of the integer multiplication
 matrix for degrees 3 and 4.  The degree-1 field is plain Q.
 
@@ -396,7 +396,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field != self.field:
                 raise FieldMismatch("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -437,10 +437,7 @@ class FieldElement:
             return NotImplemented
         field = self.field
         den = self.den * other.den
-        n = field.degree
-        if n == 1:
-            return _reduced(field, (self.num[0] * other.num[0],), den)
-        if n == 2:
+        if field.degree == 2:
             a0, a1 = self.num
             b0, b1 = other.num
             top = a1 * b1
@@ -526,7 +523,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         return (self.num == other.num and self.den == other.den
-                and (self.field is other.field or self.field == other.field))
+                and self.field == other.field)
 
     def __hash__(self):
         num, den = self.num, self.den
