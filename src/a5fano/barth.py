@@ -84,35 +84,44 @@ class IdentityFailed(RuntimeError):
     pass
 
 
-def _fixture_text(name, fixtures_dir=None):
+class FixtureError(ValueError):
+    """A fixture file that does not hold the data it should."""
+
+
+def _load_fixture(name, fixtures_dir=None):
     if fixtures_dir is not None:
         with open(f"{fixtures_dir}/{name}", "r", encoding="utf-8") as fh:
-            return fh.read()
-    return resources.files("a5fano.fixtures").joinpath(name).read_text(encoding="utf-8")
+            text = fh.read()
+    else:
+        text = resources.files("a5fano.fixtures").joinpath(name).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"{name}: malformed JSON: {exc}") from exc
 
 
-def load_xi_vectors(field, phi, fixtures_dir=None):
-    data = json.loads(_fixture_text("xi_planes.json", fixtures_dir))
-    vectors = []
-    for vec in data["vectors"]:
-        vectors.append(tuple(field(a) + phi * b for a, b in vec))
-    return data["labels"], vectors
-
-
-def load_theta_vectors(field, phi, fixtures_dir=None):
-    data = json.loads(_fixture_text("theta_planes.json", fixtures_dir))
-    vectors = []
-    for vec in data["vectors"]:
-        vectors.append(tuple(field(a) + phi * b for a, b in vec))
+def load_plane_vectors(name, field, phi, fixtures_dir=None):
+    """Labels and vectors of a plane fixture (xi_planes.json or
+    theta_planes.json); a coordinate [a, b] stands for a + b*phi."""
+    data = _load_fixture(name, fixtures_dir)
+    vectors = [tuple(field(a) + phi * b for a, b in vec) for vec in data["vectors"]]
     return data["labels"], vectors
 
 
 def load_table1_words(fixtures_dir=None):
-    return json.loads(_fixture_text("table1_words.json", fixtures_dir))
+    return _load_fixture("table1_words.json", fixtures_dir)
 
 
 def load_table2(fixtures_dir=None):
-    return json.loads(_fixture_text("table2.json", fixtures_dir))
+    data = _load_fixture("table2.json", fixtures_dir)
+    labels = data.get("labels") if isinstance(data, dict) else None
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not (isinstance(labels, list) and len(labels) == 20
+            and isinstance(rows, list) and len(rows) == 20
+            and all(isinstance(row, list) and len(row) == 20
+                    and all(type(x) is int for x in row) for row in rows)):
+        raise FixtureError("table2.json: expected 20 labels and 20 rows of 20 integers")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +209,8 @@ def build_barth(fixtures_dir=None):
     sigma30 = orbit_pts((1, 0, 0, 1))
     sigma20 = orbit_pts((1, 1, 1, 1))
 
-    xi_labels, xi_vectors = load_xi_vectors(field, phi, fixtures_dir)
-    theta_labels, theta_vectors = load_theta_vectors(field, phi, fixtures_dir)
+    xi_labels, xi_vectors = load_plane_vectors("xi_planes.json", field, phi, fixtures_dir)
+    theta_labels, theta_vectors = load_plane_vectors("theta_planes.json", field, phi, fixtures_dir)
 
     return BarthModel(
         field=field,

@@ -2,7 +2,7 @@
 
 Runs named checks against the built-in fixtures (or a fixture directory
 override), emits a text or JSON report, and exits 0 only when every requested
-check passes.  Check results are deterministic; `--jobs` changes timing only.
+check passes.  Check results are deterministic.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, barth, burkhardt
@@ -41,14 +39,12 @@ class Context:
 
     def __init__(self, fixtures_dir=None):
         self.fixtures_dir = fixtures_dir
-        self._lock = threading.RLock()  # builders call one another
         self._cache = {}
 
     def _get(self, key, builder):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
 
     def burkhardt_model(self):
         return self._get("bk_model", burkhardt.build_model)
@@ -263,15 +259,9 @@ def checks_for_suite(suite, only=None):
     return names
 
 
-def run_suite(suite, only=None, fixtures_dir=None, jobs=1):
-    names = checks_for_suite(suite, only)
+def run_suite(suite, only=None, fixtures_dir=None):
     ctx = Context(fixtures_dir)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(run_check, name, ctx) for name in names}
-            results = [futures[name].result() for name in names]
-    else:
-        results = [run_check(name, ctx) for name in names]
+    results = [run_check(name, ctx) for name in checks_for_suite(suite, only)]
     summary = {
         "pass": sum(1 for r in results if r.status == "pass"),
         "fail": sum(1 for r in results if r.status == "fail"),
@@ -311,7 +301,6 @@ def build_parser():
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--out", default=None, help="write the report to a file")
     verify.add_argument("--fixtures", default=None, help="fixture directory override")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel check workers")
     sub.add_parser("list-checks", help="print the catalog of checks")
     return parser
 
@@ -324,8 +313,7 @@ def main(argv=None):
             print(f"{name} - {desc}")
         return 0
     try:
-        report = run_suite(args.suite, only=args.check,
-                           fixtures_dir=args.fixtures, jobs=max(1, args.jobs))
+        report = run_suite(args.suite, only=args.check, fixtures_dir=args.fixtures)
     except KeyError as exc:
         print(f"unknown check: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactfield import FieldMismatch
+from .lattice import _back_substitute, _echelon
 from .multipoly import MPoly, RingMismatch, substitute
 
 
@@ -121,31 +122,12 @@ class MatElem:
         self.field = field
         self.entries = entries
         self._inv = None
-        if self._determinant().is_zero():
+        if len(_echelon(entries)[1]) < n:
             raise ValueError("matrix is singular")
 
     @property
     def size(self):
         return len(self.entries)
-
-    def _determinant(self):
-        m = [list(row) for row in self.entries]
-        n = len(m)
-        det = self.field.one
-        for k in range(n):
-            pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return self.field.zero
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det = det * m[k][k]
-            inv = m[k][k].inverse()
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    factor = m[r][k] * inv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
-        return det
 
     def __mul__(self, other):
         if not isinstance(other, MatElem):
@@ -168,22 +150,13 @@ class MatElem:
         if self._inv is not None:
             return self._inv
         n = self.size
-        m = [list(row) + [self.field.one if i == j else self.field.zero for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for k in range(n):
-            pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            m[k], m[pivot] = m[pivot], m[k]
-            inv = m[k][k].inverse()
-            m[k] = [x * inv for x in m[k]]
-            for r in range(n):
-                if r != k and not m[r][k].is_zero():
-                    factor = m[r][k]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
-        result = MatElem(self.field, [row[n:] for row in m])
-        self._inv = result
-        return result
+        one, zero = self.field.one, self.field.zero
+        rows, pivots, inverses, _ = _echelon(
+            [list(row) + [one if i == j else zero for j in range(n)]
+             for i, row in enumerate(self.entries)])
+        cols = [_back_substitute(rows, pivots, inverses, n, n + t) for t in range(n)]
+        self._inv = MatElem(self.field, [[c[i] for c in cols] for i in range(n)])
+        return self._inv
 
     def transpose(self):
         return MatElem(self.field, list(zip(*self.entries)))

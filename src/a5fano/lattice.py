@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and number fields.
 
-Ranks are computed by fraction-free (Bareiss) elimination, kernels by
-Gauss-Jordan over the fraction field.  The Gram matrices of divisor classes
-live here, together with the two independent ways of computing the dimension
-of the group-invariant part: orbit-sum compression and trace averaging
-through the kernel of the pairing.
+Every rank, kernel, determinant and linear solve goes through one forward
+Gaussian elimination over the fraction field of the entries, `_echelon`;
+kernels and solutions are read off its echelon rows by back-substitution.
+The Gram matrices of divisor classes live here, together with the two
+independent ways of computing the dimension of the group-invariant part:
+orbit-sum compression and trace averaging through the kernel of the pairing.
 
 Scalars are duck-typed: plain int/Fraction, FieldElement, and
 RationalFunction entries all work, since every one of them supports exact
@@ -31,9 +32,11 @@ def _lift(x):
 
 
 def _rows_of(m):
-    if isinstance(m, ExactMatrix):
-        return [[_lift(x) for x in r] for r in m.entries]
-    return [[_lift(x) for x in r] for r in m]
+    rows = m.entries if isinstance(m, ExactMatrix) else m
+    a = [[_lift(x) for x in r] for r in rows]
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
+    return a
 
 
 class ExactMatrix:
@@ -62,140 +65,102 @@ class ExactMatrix:
         return ExactMatrix(list(zip(*self.entries)))
 
 
-def rank(m):
-    """Rank by fraction-free Bareiss elimination with column pivot search."""
+def _echelon(m):
+    """Forward Gaussian elimination over the fraction field of the entries.
+
+    Returns (rows, pivots, inverses, det): the rows in echelon form, the
+    pivot column of each nonzero row, the inverse of each pivot, and the
+    product of the pivots, negated once per row swap.  Only the rows below
+    a pivot are reduced, and pivot rows are not normalised; the rows after
+    the last pivot row are zero.
+    """
     a = _rows_of(m)
-    if not a or not a[0]:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    prev = None  # denominator of the previous step; skipped on the first pivot
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][col]
-        for i in range(r + 1, nrows):
-            ai = a[i]
-            if not ai[col] and prev is None:
-                continue
-            head = ai[col]
-            for j in range(col + 1, ncols):
-                num = ai[j] * p - head * a[r][j]
-                ai[j] = num if prev is None else num / prev
-            ai[col] = head - head  # exact zero of the right type
-        prev = p
-        r += 1
+    nrows = len(a)
+    pivots, inverses = [], []
+    det = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
         if r == nrows:
             break
-    return r
+        p = next((i for i in range(r, nrows) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            det = -det
+        row = a[r]
+        inv = 1 / row[col]
+        det = det * row[col]
+        for i in range(r + 1, nrows):
+            if a[i][col]:
+                f = a[i][col] * inv
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], row)]
+        pivots.append(col)
+        inverses.append(inv)
+    return a, pivots, inverses, det
+
+
+def _back_substitute(rows, pivots, inverses, n, col):
+    """The x of length n, zero at the free columns, for which each pivot row
+    of `_echelon`'s output times x equals that row's entry in column col."""
+    zero = rows[0][col] - rows[0][col]
+    x = [zero] * n
+    for i in range(len(pivots) - 1, -1, -1):
+        row, c = rows[i], pivots[i]
+        acc = row[col]
+        for j in range(c + 1, n):
+            if x[j]:
+                acc = acc - row[j] * x[j]
+        x[c] = acc * inverses[i]
+    return x
+
+
+def rank(m):
+    """Number of pivots of the echelon form."""
+    return len(_echelon(m)[1])
+
+
+def _kernel(m):
+    """The free columns of the echelon form of m and the kernel basis
+    described in `kernel_basis`."""
+    rows, pivots, inverses, _ = _echelon(m)
+    if not rows:
+        return [], []
+    n = len(rows[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [-x for x in _back_substitute(rows, pivots, inverses, n, f)]
+        v[f] += 1  # v[f] was zero
+        basis.append(tuple(v))
+    return free, basis
 
 
 def kernel_basis(m):
-    """Basis of the right kernel, computed over the fraction field."""
-    a = _rows_of(m)
-    if not a:
-        return []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    one = Fraction(1)
-    zero = Fraction(0)
-    for row in a:
-        for x in row:
-            if x:
-                one = x / x
-                zero = x - x
-                break
-        else:
-            continue
-        break
-    basis = []
-    for f in free_cols:
-        v = [zero] * ncols
-        v[f] = one
-        for rr, cc in pivots:
-            v[cc] = -a[rr][f]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel: vector a is 1 at the a-th free column of the
+    echelon form and 0 at the other free columns."""
+    return _kernel(m)[1]
 
 
 def determinant(m):
-    """Exact determinant by fraction-free elimination."""
-    a = _rows_of(m)
-    n = len(a)
+    """Exact determinant: the signed product of the echelon pivots."""
+    rows, pivots, _, det = _echelon(m)
+    n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    if any(len(r) != n for r in a):
+    if len(rows[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return a[k][k]  # a zero of the right type
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * p - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num / prev
-            a[i][k] = a[i][k] - a[i][k]
-        prev = p
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if len(pivots) == n else rows[-1][-1]  # a zero of the right type
 
 
 def solve_right(a_rows, b_cols):
     """Solve A X = B column by column; returns X or None if inconsistent."""
-    a = [[_lift(x) for x in r] for r in a_rows]
-    b = [[_lift(x) for x in r] for r in b_cols]
-    nrows = len(a)
-    ncols = len(a[0])
-    width = len(b[0])
-    aug = [a[i] + b[i] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, nrows):
-        if any(aug[i][ncols:]):
-            return None
-    x = [[Fraction(0)] * width for _ in range(ncols)]
-    for rr, cc in pivots:
-        x[cc] = aug[rr][ncols:]
-    return x
+    n = len(a_rows[0])
+    rows, pivots, inverses, _ = _echelon([list(a) + list(b) for a, b in zip(a_rows, b_cols)])
+    if pivots and pivots[-1] >= n:
+        return None  # a pivot in B: the augmented matrix has the larger rank
+    cols = [_back_substitute(rows, pivots, inverses, n, n + t) for t in range(len(b_cols[0]))]
+    return [[c[i] for c in cols] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +266,8 @@ def invariant_dimension_via_trace(gram, group_perms):
 
     V is the permutation module on the classes and K the kernel of the Gram
     form; the dimension is the averaged difference between fixed-point counts
-    on V and traces on K, evaluated with an explicit kernel basis.
+    on V and traces on K.  The kernel basis is the identity on its free
+    columns, so each trace is read off those columns directly.
     """
     n = gram.size
     perms = [_perm_images(g) for g in group_perms]
@@ -317,52 +283,16 @@ def invariant_dimension_via_trace(gram, group_perms):
                     raise ActionNotGramPreserving(
                         f"pairing not preserved at classes ({i},{j})"
                     )
-    basis = kernel_basis(gram.matrix)
-    k = len(basis)
+    free, basis = _kernel(gram.matrix)
     total = Fraction(0)
-    if k == 0:
-        for images in perms:
-            total += sum(1 for i in range(n) if images[i] == i)
-    else:
-        cols = [list(v) for v in basis]  # k vectors of length n
-        # pivot rows making the k x k submatrix invertible
-        bt = [[cols[a][i] for i in range(n)] for a in range(k)]
-        pivot_rows = []
-        work = [row[:] for row in bt]
-        r = 0
-        for col in range(n):
-            pivot = next((i for i in range(r, k) if work[i][col]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = work[r][col]
-            work[r] = [x / inv for x in work[r]]
-            for i in range(k):
-                if i != r and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-            pivot_rows.append(col)
-            r += 1
-            if r == k:
-                break
-        if r != k:
-            raise ValueError("kernel basis is degenerate")
-        bp = [[cols[b][p] for b in range(k)] for p in pivot_rows]
-        ident = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        left = solve_right(bp, ident)
-        if left is None:
-            raise ValueError("failed to invert the pivot submatrix")
-        for images in perms:
-            inv_images = [0] * n
-            for i, img in enumerate(images):
-                inv_images[img] = i
-            fix = sum(1 for i in range(n) if images[i] == i)
-            tr = Fraction(0)
-            for a in range(k):
-                la = left[a]
-                for b in range(k):
-                    tr += la[b] * cols[a][inv_images[pivot_rows[b]]]
-            total += fix - tr
+    for images in perms:
+        inv_images = [0] * n
+        for i, img in enumerate(images):
+            inv_images[img] = i
+        fix = sum(1 for i in range(n) if images[i] == i)
+        # g moves coordinate j to images[j], so the coefficient of b_a in
+        # g b_a is the entry of g b_a at free_a, which is b_a[g^-1(free_a)]
+        total += fix - sum(v[inv_images[f]] for v, f in zip(basis, free))
     value = total / len(perms)
     if value.denominator != 1:
         raise ValueError(f"trace average {value} is not an integer")

@@ -16,9 +16,12 @@ from .exactfield import (
     NumberField,
     RationalFunction,
     RationalFunctionField,
+    _poly_gcd_monic,
+    _trim,
     rational_sqrt,
     sqrt_in_field,
 )
+from .lattice import _echelon
 
 
 class RingMismatch(ValueError):
@@ -579,7 +582,7 @@ def _coefficients_in(p, var):
 
 
 def _bareiss_det_poly(rows):
-    """Fraction-free determinant for matrices with polynomial entries."""
+    """Fraction-free (Bareiss) determinant: `MPoly` has no exact `/` for `lattice._echelon`."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
@@ -635,31 +638,19 @@ def sylvester_resultant(p, q, var):
     return _bareiss_det_poly(rows)
 
 
-def _dense_from(p, var):
-    return dense_univariate(p, var)
-
-
-def _dense_gcd(a, b):
-    from .exactfield import _poly_gcd_monic, _trim
-
-    return _poly_gcd_monic(_trim(a), _trim(b))
-
-
 def _univariate_common_root(polys):
     """Whether nonzero dense univariates over a field share a root in C.
 
     Zero polynomials impose no constraint; an empty or all-zero family counts
     as having roots everywhere.
     """
-    from .exactfield import _trim
-
     dense = [_trim(list(c)) for c in polys]
     dense = [d for d in dense if d]
     if not dense:
         return True
     g = dense[0]
     for d in dense[1:]:
-        g = _dense_gcd(g, d)
+        g = _poly_gcd_monic(g, d)
         if len(g) == 1:
             return False
     return len(g) > 1
@@ -680,27 +671,8 @@ def ternary_conic_classify(q):
         else:
             mat[i][j] = c * half
             mat[j][i] = c * half
-    rank = _small_rank(mat)
+    rank = len(_echelon(mat)[1])
     return {3: "irreducible", 2: "line-pair", 1: "double-line"}[rank]
-
-
-def _small_rank(rows):
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 _CHART_TRANSFORMS = (
@@ -765,7 +737,7 @@ def _conics_have_common_zero(q0, q1, q2):
     degs = [q.degree_in(1) for q in qs]
     if max(degs) <= 0:
         # no second variable at all: common root of univariates in x1
-        dense = [_dense_from(q, 0) for q in qs if not q.is_zero()]
+        dense = [dense_univariate(q, 0) for q in qs if not q.is_zero()]
         if not dense:
             return True
         return _univariate_common_root(dense)
@@ -783,12 +755,10 @@ def _conics_have_common_zero(q0, q1, q2):
         return True  # a single nonzero conic always has zeros over C
     if any(r.is_zero() for r in resultants):
         return None
-    from .exactfield import _trim
-
-    dense = [_trim(_dense_from(r, 0)) for r in resultants]
+    dense = [_trim(dense_univariate(r, 0)) for r in resultants]
     g = dense[0]
     for d in dense[1:]:
-        g = _dense_gcd(g, d)
+        g = _poly_gcd_monic(g, d)
     candidates = []
     undecided = False
     if len(g) == 2:
@@ -798,7 +768,7 @@ def _conics_have_common_zero(q0, q1, q2):
     lead = _coefficients_in(qs[star], 1)[-1]
     if degs[star] == 1:
         # linear pivot: its leading coefficient may vanish along one fiber
-        lc = _dense_from(lead, 0)
+        lc = dense_univariate(lead, 0)
         if len(lc) > 1:
             candidates.append(-lc[0] / lc[1])
     for beta in candidates:

@@ -79,20 +79,15 @@ def test_reports_are_deterministic_except_millis(burkhardt_report):
     assert again["summary"] == burkhardt_report["summary"]
 
 
-def test_jobs_do_not_change_results(burkhardt_report):
-    parallel = cli.run_suite("burkhardt", jobs=4)
-    for a, b in zip(burkhardt_report["checks"], parallel["checks"]):
-        assert a["name"] == b["name"]
-        assert a["status"] == b["status"]
-        assert a["expected"] == b["expected"]
-        assert a["actual"] == b["actual"]
-
-
-def test_corrupted_fixture_fails_with_coordinates(tmp_path, capsys):
+def copy_fixtures(directory):
     src = resources.files("a5fano.fixtures")
     for name in ("xi_planes.json", "theta_planes.json",
                  "table1_words.json", "table2.json"):
-        shutil.copy(str(src.joinpath(name)), tmp_path / name)
+        shutil.copy(str(src.joinpath(name)), directory / name)
+
+
+def test_corrupted_fixture_fails_with_coordinates(tmp_path, capsys):
+    copy_fixtures(tmp_path)
     data = json.loads((tmp_path / "table2.json").read_text())
     assert data["rows"][0][1] == 1
     data["rows"][0][1], data["rows"][1][0] = 0, 0
@@ -106,6 +101,37 @@ def test_corrupted_fixture_fails_with_coordinates(tmp_path, capsys):
     (chk,) = report["checks"]
     assert chk["status"] == "fail"
     assert "(1,1,1)" in chk["actual"] and "(1,1,-1)" in chk["actual"]
+
+
+def run_with_fixtures(directory, check, capsys):
+    code = cli.main([
+        "verify", "barth", "--check", check,
+        "--fixtures", str(directory), "--format", "json",
+    ])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    (chk,) = json.loads(out)["checks"]
+    assert chk["status"] == "fail"
+    return code, chk["actual"]
+
+
+def test_malformed_json_fixture_names_the_file(tmp_path, capsys):
+    copy_fixtures(tmp_path)
+    text = (tmp_path / "xi_planes.json").read_text()
+    (tmp_path / "xi_planes.json").write_text(text[: len(text) // 2])
+    code, actual = run_with_fixtures(tmp_path, "orbits", capsys)
+    assert code == 1
+    assert "xi_planes.json" in actual and "malformed JSON" in actual
+
+
+def test_misshapen_table2_names_the_file(tmp_path, capsys):
+    copy_fixtures(tmp_path)
+    data = json.loads((tmp_path / "table2.json").read_text())
+    data["rows"] = data["rows"][:19]
+    (tmp_path / "table2.json").write_text(json.dumps(data))
+    code, actual = run_with_fixtures(tmp_path, "table2", capsys)
+    assert code == 1
+    assert "table2.json" in actual and "20 rows of 20 integers" in actual
 
 
 def test_missing_fixture_reported_as_failure(tmp_path, capsys):

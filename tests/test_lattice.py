@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from a5fano.barth import load_table2
-from a5fano.exactfield import golden_field
+from a5fano.exactfield import golden_field, omega_field
+from a5fano.groups import index_orbits
 from a5fano.lattice import (
     ActionNotGramPreserving,
     ExactMatrix,
@@ -19,13 +20,16 @@ from a5fano.lattice import (
 )
 
 
-def naive_rank(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
+def naive_rref(rows):
+    """Gauss-Jordan elimination to reduced row echelon form, the test-side
+    oracle; returns the reduced rows and the pivot columns."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
     if not m:
-        return 0
+        return m, []
     nr, nc = len(m), len(m[0])
-    r = 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -35,8 +39,22 @@ def naive_rank(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def naive_rank(rows):
+    return len(naive_rref(rows)[1])
+
+
+def cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    total = Fraction(0)
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor_det(minor)
+    return total
 
 
 def test_rank_examples():
@@ -85,17 +103,7 @@ def test_determinant():
     for _ in range(20):
         n = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-
-        def cofactor(m):
-            if len(m) == 1:
-                return m[0][0]
-            total = Fraction(0)
-            for j in range(len(m)):
-                minor = [row[:j] + row[j + 1:] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cofactor(minor)
-            return total
-
-        assert determinant(rows) == cofactor(rows)
+        assert determinant(rows) == cofactor_det(rows)
 
 
 def test_solve_right():
@@ -177,3 +185,98 @@ def test_exact_matrix_shape_checks():
     assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("field_name", ["QQ", "omega"])
+def test_elimination_matches_naive_gauss_jordan(field_name):
+    """rank, kernel_basis, determinant and solve_right against Gauss-Jordan
+    and cofactor expansion.  A matrix is drawn as a product C B with a short
+    inner dimension, so rank-deficient matrices come up often."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if field_name == "QQ":
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    else:
+        field, w = omega_field()
+        entry = st.builds(lambda a, b: field(a) + w * b, st.integers(-2, 2), st.integers(-1, 1))
+
+    def matrix(nr, nc):
+        return st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
+
+    dims = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 2))
+
+    @hypothesis.settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(dims.flatmap(lambda d: st.tuples(
+        matrix(d[0], d[2]), matrix(d[2], d[1]), matrix(d[1], d[3]), matrix(d[0], d[3]),
+        st.booleans())))
+    def check(drawn):
+        c, b, x0, b_random, consistent = drawn
+        a = matmul(c, b)
+        nc = len(a[0])
+        _, pivots = naive_rref(a)
+        r = len(pivots)
+        assert rank(a) == r
+
+        basis = kernel_basis(a)
+        free = [j for j in range(nc) if j not in pivots]
+        assert len(basis) == nc - r
+        for k, v in enumerate(basis):
+            assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in a)
+            assert [v[f] for f in free] == [1 if i == k else 0 for i in range(len(free))]
+
+        for mat in (a, b):  # b is drawn directly, so its zeros force row swaps
+            m = min(len(mat), len(mat[0]))
+            square = [row[:m] for row in mat[:m]]
+            assert determinant(square) == cofactor_det(square)
+
+        rhs = matmul(a, x0) if consistent else b_random
+        x = solve_right(a, rhs)
+        augmented_rank = naive_rank([ra + rb for ra, rb in zip(a, rhs)])
+        assert (x is None) == (augmented_rank > r)
+        if x is not None:
+            assert matmul(a, x) == rhs
+
+    check()
+
+
+def circulant(first_row):
+    n = len(first_row)
+    return GramMatrix(range(n), [[first_row[(j - i) % n] for j in range(n)] for i in range(n)])
+
+
+def rotations(n, step):
+    return [tuple((i + s) % n for i in range(n)) for s in range(0, n, step)]
+
+
+def reflections(n, step):
+    return [tuple((s - i) % n for i in range(n)) for s in range(0, n, step)]
+
+
+# symmetric circulants with diagonal -2 and a nonzero kernel, with its
+# dimension; on the last three the free and the pivot columns of the kernel
+# basis give different traces under nontrivial rotation groups
+CIRCULANTS = (
+    ((-2, 1, 0, 0, 0, 1), 1),
+    ((-2, 0, 1, 0, 1, 0), 2),
+    ((-2, 0, 0, 0, 2, 0, 0, 0), 4),
+    ((-2, -1, 1, 2, 1, -1), 4),
+    ((-2, -1, -1, -1, 0, -1, -1, -1), 3),
+    ((-2, 0, -1, 2, 0, 2, -1, 0), 3),
+)
+
+
+@pytest.mark.parametrize("first_row,kernel_dim", CIRCULANTS,
+                         ids=["_".join(map(str, row)) for row, _ in CIRCULANTS])
+def test_trace_method_matches_orbit_sums_on_circulants(first_row, kernel_dim):
+    g = circulant(first_row)
+    n = g.size
+    assert len(kernel_basis(g.matrix)) == kernel_dim
+    for step in (d for d in range(1, n + 1) if n % d == 0):
+        for group in (rotations(n, step), rotations(n, step) + reflections(n, step)):
+            expected = rank(orbit_sum_gram(g, index_orbits(group)))
+            assert invariant_dimension_via_trace(g, group) == expected
