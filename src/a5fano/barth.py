@@ -24,6 +24,7 @@ from .exactfield import (
 )
 from .groups import (
     MatElem,
+    Perm,
     act_on_poly,
     canonical_point,
     eval_word,
@@ -100,12 +101,25 @@ def _load_fixture(name, fixtures_dir=None):
         raise FixtureError(f"{name}: malformed JSON: {exc}") from exc
 
 
+_PLANE_COUNTS = {"xi_planes.json": 20, "theta_planes.json": 6}
+
+
 def load_plane_vectors(name, field, phi, fixtures_dir=None):
     """Labels and vectors of a plane fixture (xi_planes.json or
     theta_planes.json); a coordinate [a, b] stands for a + b*phi."""
     data = _load_fixture(name, fixtures_dir)
-    vectors = [tuple(field(a) + phi * b for a, b in vec) for vec in data["vectors"]]
-    return data["labels"], vectors
+    count = _PLANE_COUNTS[name]
+    labels = data.get("labels") if isinstance(data, dict) else None
+    vectors = data.get("vectors") if isinstance(data, dict) else None
+    if not (isinstance(labels, list) and len(labels) == count
+            and isinstance(vectors, list) and len(vectors) == count
+            and all(isinstance(vec, list) and len(vec) == 3
+                    and all(isinstance(c, list) and len(c) == 2
+                            and all(type(x) is int for x in c) for c in vec)
+                    for vec in vectors)):
+        raise FixtureError(f"{name}: expected {count} labels and {count} vectors "
+                           f"of 3 coordinates [a, b] with integer a, b")
+    return labels, [tuple(field(a) + phi * b for a, b in vec) for vec in vectors]
 
 
 def load_table1_words(fixtures_dir=None):
@@ -560,10 +574,17 @@ def build_table2(model, family):
 
 
 def surface_permutations(model, plus):
-    """The permutation of the plus family induced by every rotation."""
+    """The permutation of the plus family induced by every rotation.
+
+    Only the 3 generators move the surfaces; the closure of their
+    permutations under composition is the image of the whole group, since
+    every rotation is a product of generators.  A generator that leaves the
+    family raises.  A5 is simple, so its action on a 20-surface orbit is
+    faithful and the closure must have exactly 60 elements.
+    """
     index = {(s.v, s.cubic): i for i, s in enumerate(plus)}
-    perms = []
-    for g in model.group3:
+    gens = []
+    for g in model.gens3.values():
         images = [0] * len(plus)
         for i, s in enumerate(plus):
             moved = transport_surface(s, g)
@@ -571,8 +592,15 @@ def surface_permutations(model, plus):
             if key not in index:
                 raise SurfaceNotOnSolid("rotation leaves the plus family")
             images[i] = index[key]
-        perms.append(tuple(images))
-    return perms
+        gens.append(Perm(images))
+    order = len(model.group3)
+    perms = generate_group(gens, order_bound=order)
+    if len(perms) != order:
+        raise SurfaceNotOnSolid(
+            f"the rotations act on the plus family through {len(perms)} "
+            f"permutations, expected {order}"
+        )
+    return [p.images for p in perms]
 
 
 def verify_table2_and_ranks(model, plus, minus, fixtures_dir=None):

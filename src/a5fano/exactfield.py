@@ -503,7 +503,12 @@ class FieldElement:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_rational() and other.num[0] == other.den:  # other is one
+            return self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, n):
         if n < 0:
@@ -805,7 +810,12 @@ class RationalFunction:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.num == other.den:  # other is one: num/den is reduced, den monic
+            return self.inverse()
+        return other * self.inverse()
 
     def __pow__(self, n):
         if n < 0:

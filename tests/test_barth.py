@@ -168,6 +168,30 @@ def test_pairing_is_group_equivariant(bt_model, bt_surfaces, bt_table2):
                 assert gram.entry(i, j) == gram.entry(images[i], images[j])
 
 
+def test_surface_permutations_match_all_rotations(bt_model, bt_surfaces):
+    # oracle: move the plus family by each of the 60 rotations directly
+    plus, _ = bt_surfaces
+    index = {(s.v, s.cubic): i for i, s in enumerate(plus)}
+    oracle = set()
+    for g in bt_model.group3:
+        moved = (bt.transport_surface(s, g) for s in plus)
+        oracle.add(tuple(index[(m.v, m.cubic)] for m in moved))
+    perms = bt.surface_permutations(bt_model, plus)
+    assert len(perms) == 60 and len(oracle) == 60
+    assert set(perms) == oracle
+    assert tuple(range(20)) in oracle
+
+
+def test_surface_permutations_need_the_whole_group(bt_model, bt_surfaces):
+    # N and R alone generate A4, whose 12 permutations are not the action of A5
+    from dataclasses import replace
+
+    plus, _ = bt_surfaces
+    gens = {k: bt_model.gens3[k] for k in ("N", "R")}
+    with pytest.raises(bt.SurfaceNotOnSolid, match="12 permutations"):
+        bt.surface_permutations(replace(bt_model, gens3=gens), plus)
+
+
 def test_corrupted_fixture_detected(bt_model, bt_surfaces, tmp_path):
     import json
     import shutil

@@ -134,6 +134,25 @@ def test_misshapen_table2_names_the_file(tmp_path, capsys):
     assert "table2.json" in actual and "20 rows of 20 integers" in actual
 
 
+def test_misshapen_plane_fixture_names_the_file(tmp_path, capsys):
+    cuts = [
+        ("xi_planes.json", lambda data: data["vectors"][3].pop()),
+        ("xi_planes.json", lambda data: data["labels"].pop()),
+        ("theta_planes.json", lambda data: data["vectors"][0][1].append(0)),
+        ("theta_planes.json", lambda data: data["vectors"][2][2].__setitem__(0, "1")),
+    ]
+    for k, (name, cut) in enumerate(cuts):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        copy_fixtures(directory)
+        data = json.loads((directory / name).read_text())
+        cut(data)
+        (directory / name).write_text(json.dumps(data))
+        code, actual = run_with_fixtures(directory, "restrictions", capsys)
+        assert code == 1
+        assert name in actual and "3 coordinates" in actual
+
+
 def test_missing_fixture_reported_as_failure(tmp_path, capsys):
     code = cli.main([
         "verify", "barth", "--check", "table1",

@@ -71,6 +71,19 @@ def test_division_and_errors():
         _ = phi + other.gen()
 
 
+def test_reflected_division_coerces_first():
+    field, phi = golden_field()
+    R = RationalFunctionField(field, "mu")
+    mu = R.gen()
+    for x in (phi, field.zero, mu, R.zero):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            _ = "a" / x
+    for x in (phi, field((Fraction(3, 7), Fraction(-2, 5))), mu, mu + phi):
+        assert 1 / x == x.inverse()
+        assert 3 / x == x.inverse() * 3
+    assert phi / mu == mu.inverse() * phi
+
+
 def test_sqrt_examples():
     field, phi = golden_field()
     assert sqrt_in_field(field(4)) == 2
