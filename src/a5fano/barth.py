@@ -627,7 +627,7 @@ def verify_table2_and_ranks(model, plus, minus, fixtures_dir=None):
     perms = surface_permutations(model, plus)
     orbits = index_orbits(perms)
     osum_rank = rank(orbit_sum_gram(gram_plus, orbits))
-    trace_dim = invariant_dimension_via_trace(gram_plus, perms)
+    trace_dim = invariant_dimension_via_trace(gram_plus, [(p, 1) for p in perms], perms)
     return {
         "entries_checked": 400,
         "entries_matching": 400,

@@ -17,9 +17,15 @@ from itertools import combinations
 
 from .exactfield import omega_field
 from .groups import (
+    A6_GENERATORS,
+    NONSTANDARD_A5_GENERATORS,
+    S6_GENERATORS,
+    STANDARD_A5_GENERATORS,
     Perm,
     alternating_group_a6,
     canonical_point,
+    cycle_type_counts,
+    index_orbits,
     orbit_of,
     subgroup_nonstandard_A5,
     subgroup_standard_A5,
@@ -358,37 +364,54 @@ def verify_plane_action_geometric(model, g, plane):
     return True
 
 
-SUBGROUPS = ("S6", "A6", "A5_standard", "A5_nonstandard")
+# each subgroup of S6 whose invariant rank is computed: its generators and
+# the enumeration of its elements
+SUBGROUPS = {
+    "S6": (S6_GENERATORS, symmetric_group_s6),
+    "A6": (A6_GENERATORS, alternating_group_a6),
+    "A5_standard": (STANDARD_A5_GENERATORS, subgroup_standard_A5),
+    "A5_nonstandard": (NONSTANDARD_A5_GENERATORS, subgroup_nonstandard_A5),
+}
 
 
-def subgroup_elements(name):
-    if name == "S6":
-        return symmetric_group_s6()
-    if name == "A6":
-        return alternating_group_a6()
-    if name == "A5_standard":
-        return subgroup_standard_A5()
-    if name == "A5_nonstandard":
-        return subgroup_nonstandard_A5()
-    raise KeyError(name)
+def plane_actions(gram, subgroups=tuple(SUBGROUPS)):
+    """The plane permutations that both invariant-rank methods need.
 
-
-def _plane_orbits(perm_images):
-    from .groups import index_orbits
-
-    return index_orbits(perm_images)
-
-
-def invariant_ranks(model, gram, subgroups=SUBGROUPS):
-    """Both invariant-dimension computations for each subgroup; they must agree."""
-    out = {}
+    Returns the images of S6's generators and, for each subgroup, a list of
+    (plane permutation, weight) pairs, one per S6 cycle type that meets the
+    subgroup, weighted by its number of elements of that type, together with
+    the images of the subgroup's generators.  Cycle types are the conjugacy
+    classes of S6, so one representative per type serves every subgroup.
+    """
+    s6 = symmetric_group_s6()
+    representative = {}
+    for g in s6:
+        representative.setdefault(g.cycle_type(), g)
+    needed = set(representative.values()).union(*(SUBGROUPS[name][0] for name in subgroups))
+    images = {g: plane_permutation(gram, g) for g in needed}
+    actions = {}
     for name in subgroups:
-        elements = subgroup_elements(name)
-        perms = [plane_permutation(gram, g) for g in elements]
-        orbits = _plane_orbits(perms)
-        osum = orbit_sum_gram(gram, orbits)
-        rank_method = rank(osum)
-        trace_method = invariant_dimension_via_trace(gram, perms)
+        gens, elements = SUBGROUPS[name]
+        counts = cycle_type_counts(s6 if name == "S6" else elements())
+        weighted = [(images[representative[t]], count) for t, count in counts.items()]
+        actions[name] = (weighted, [images[g] for g in gens])
+    return [images[g] for g in S6_GENERATORS], actions
+
+
+def invariant_ranks(model, gram, subgroups=tuple(SUBGROUPS)):
+    """Both invariant-dimension computations for each subgroup; they must agree.
+
+    The trace method checks the form on S6's generators, not only on the
+    subgroup's, since its cycle-type weighting needs K to be stable under all
+    of S6.  The orbit-sum method takes its orbits from the subgroup's
+    generators.
+    """
+    s6_gens, actions = plane_actions(gram, subgroups)
+    out = {}
+    for name, (weighted, gens) in actions.items():
+        orbits = index_orbits(gens)
+        rank_method = rank(orbit_sum_gram(gram, orbits))
+        trace_method = invariant_dimension_via_trace(gram, weighted, s6_gens)
         if rank_method != trace_method:
             raise RuleMismatch(
                 f"{name}: orbit-sum rank {rank_method} != trace average {trace_method}"

@@ -7,6 +7,7 @@ are deduplicated by canonical forms (projective scaling for matrices).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactfield import FieldMismatch
@@ -70,9 +71,12 @@ class Perm:
             inv[img] = i
         return Perm(inv)
 
-    def is_even(self):
+    def cycle_type(self):
+        """The cycle lengths, fixed points included, in decreasing order: a
+        partition of the degree, equal on two permutations exactly when they
+        are conjugate in the symmetric group."""
         seen = [False] * len(self.images)
-        parity = 0
+        lengths = []
         for i in range(len(self.images)):
             if seen[i]:
                 continue
@@ -82,8 +86,11 @@ class Perm:
                 seen[j] = True
                 j = self.images[j]
                 length += 1
-            parity ^= (length - 1) & 1
-        return parity == 0
+            lengths.append(length)
+        return tuple(sorted(lengths, reverse=True))
+
+    def is_even(self):
+        return sum(length - 1 for length in self.cycle_type()) % 2 == 0
 
     def fixed_points(self):
         return tuple(i for i, img in enumerate(self.images) if img == i)
@@ -361,6 +368,11 @@ def index_orbits(perm_images):
     return orbits
 
 
+def cycle_type_counts(elements):
+    """The number of permutations of each cycle type, ordered by type."""
+    return dict(sorted(Counter(g.cycle_type() for g in elements).items()))
+
+
 def act_on_poly(g, p):
     """The polynomial p composed with g^{-1} on the variables."""
     ring = p.ring
@@ -394,8 +406,21 @@ def act_on_poly(g, p):
 
 
 # ---------------------------------------------------------------------------
-# the two conjugacy classes of icosahedral subgroups inside S6
+# S6, A6 and the two conjugacy classes of icosahedral subgroups inside S6
 # ---------------------------------------------------------------------------
+
+S6_GENERATORS = (Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
+# (0 1 2) and (1 2 ... n-1) generate A_n for even n
+A6_GENERATORS = (Perm.from_cycles(6, [(0, 1, 2)]), Perm.from_cycles(6, [(1, 2, 3, 4, 5)]))
+STANDARD_A5_GENERATORS = (
+    Perm.from_cycles(6, [(0, 1, 2, 3, 4)]),
+    Perm.from_cycles(6, [(0, 1, 2)]),
+)
+NONSTANDARD_A5_GENERATORS = (
+    Perm.from_cycles(6, [(0, 1, 2, 3, 4)]),
+    Perm.from_cycles(6, [(0, 5), (1, 4)]),
+)
+
 
 def _validated_a5(generators, transitive):
     group = generate_group(generators, order_bound=60)
@@ -420,26 +445,24 @@ def _validated_a5(generators, transitive):
 
 def subgroup_standard_A5():
     """The even permutations of {0..4} fixing the letter 5, as a full list."""
-    gens = [Perm.from_cycles(6, [(0, 1, 2, 3, 4)]), Perm.from_cycles(6, [(0, 1, 2)])]
-    return _validated_a5(gens, transitive=False)
+    return _validated_a5(STANDARD_A5_GENERATORS, transitive=False)
 
 
 def subgroup_nonstandard_A5():
     """A transitive icosahedral subgroup of S6 (the projective-line action)."""
-    gens = [Perm.from_cycles(6, [(0, 1, 2, 3, 4)]), Perm.from_cycles(6, [(0, 5), (1, 4)])]
-    return _validated_a5(gens, transitive=True)
+    return _validated_a5(NONSTANDARD_A5_GENERATORS, transitive=True)
 
 
 def symmetric_group_s6():
-    gens = [Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
-    group = generate_group(gens, order_bound=720)
+    group = generate_group(S6_GENERATORS, order_bound=720)
     if len(group) != 720:
         raise ConstructionFailed("failed to generate the full symmetric group")
     return group
 
 
 def alternating_group_a6():
-    group = [g for g in symmetric_group_s6() if g.is_even()]
-    if len(group) != 360:
-        raise ConstructionFailed("failed to carve out the alternating group")
+    """The closure of A6_GENERATORS, checked to be the 360 even permutations."""
+    group = generate_group(A6_GENERATORS, order_bound=360)
+    if len(group) != 360 or not all(g.is_even() for g in group):
+        raise ConstructionFailed("failed to generate the alternating group")
     return group

@@ -7,6 +7,15 @@ The Gram matrices of divisor classes live here, together with the two
 independent ways of computing the dimension of the group-invariant part:
 orbit-sum compression and trace averaging through the kernel of the pairing.
 
+The trace average need not visit every element.  The permutations of the
+classes that preserve the pairing make up a group, so when the generators of
+a group G preserve it, all of G does, and G maps the kernel K to itself.  The
+character of G on V/K (V the permutation module on the classes) is then a
+class function of G (Serre, Linear Representations of Finite Groups, §2),
+and for a subgroup H of G the average over H is the average over one
+representative per G-conjugacy class, weighted by how many elements of H lie
+in that class.
+
 Scalars are duck-typed: plain int/Fraction, FieldElement, and
 RationalFunction entries all work, since every one of them supports exact
 +, -, *, / and truth-testing.
@@ -173,7 +182,7 @@ SELF_PAIRING = -2  # self-intersection of a smooth rational curve on a K3 sectio
 class GramMatrix:
     """Symmetric pairing matrix of labelled divisor classes, diagonal -2."""
 
-    __slots__ = ("labels", "matrix")
+    __slots__ = ("labels", "matrix", "_free_and_basis")
 
     def __init__(self, labels, entries):
         self.labels = tuple(labels)
@@ -188,6 +197,7 @@ class GramMatrix:
                 if mat.entries[i][j] != mat.entries[j][i]:
                     raise ValueError(f"pairing not symmetric at ({i},{j})")
         self.matrix = mat
+        self._free_and_basis = None
 
     @classmethod
     def from_pairing(cls, labels, pairing):
@@ -217,6 +227,13 @@ class GramMatrix:
 
     def rank(self):
         return rank(self.matrix)
+
+    def kernel(self):
+        """The free columns and the kernel basis of `_kernel`, computed once;
+        a GramMatrix is not changed after it is made."""
+        if self._free_and_basis is None:
+            self._free_and_basis = _kernel(self.matrix)
+        return self._free_and_basis
 
     def to_json(self):
         return json.dumps(
@@ -256,25 +273,26 @@ def orbit_sum_gram(gram, orbits):
     return ExactMatrix(entries)
 
 
-def _perm_images(g):
-    images = getattr(g, "images", g)
-    return tuple(images)
-
-
-def invariant_dimension_via_trace(gram, group_perms):
-    """Dimension of the invariants of V/K under the class permutation action.
+def invariant_dimension_via_trace(gram, weighted, gens):
+    """Dimension of the invariants of V/K under a group H of class permutations.
 
     V is the permutation module on the classes and K the kernel of the Gram
-    form; the dimension is the averaged difference between fixed-point counts
-    on V and traces on K.  The kernel basis is the identity on its free
+    form.  `gens` generate a group G containing H; each generator must
+    preserve the form, and then all of G does, since the permutations that
+    preserve a form make up a group.  So the character of G on V/K is a class
+    function of G.  Permutations are tuples of images.  `weighted` lists
+    (permutation, weight) pairs: a representative of each G-conjugacy class that meets H, weighted by the
+    number of elements of H in that class, or every element of H with weight
+    1.  The dimension is the weighted average of the fixed-point count on V
+    minus the trace on K.  The kernel basis is the identity on its free
     columns, so each trace is read off those columns directly.
     """
     n = gram.size
-    perms = [_perm_images(g) for g in group_perms]
-    entries = gram.matrix.entries
-    for images in perms:
+    for images in [images for images, _ in weighted] + list(gens):
         if sorted(images) != list(range(n)):
             raise ActionNotGramPreserving("element does not permute the classes")
+    entries = gram.matrix.entries
+    for images in gens:
         for i in range(n):
             row = entries[i]
             prow = entries[images[i]]
@@ -283,17 +301,20 @@ def invariant_dimension_via_trace(gram, group_perms):
                     raise ActionNotGramPreserving(
                         f"pairing not preserved at classes ({i},{j})"
                     )
-    free, basis = _kernel(gram.matrix)
-    total = Fraction(0)
-    for images in perms:
+    if not weighted or any(not isinstance(w, int) or w < 1 for _, w in weighted):
+        raise ValueError("weights must be positive integers")
+    free, basis = gram.kernel()
+    total = order = 0
+    for images, weight in weighted:
         inv_images = [0] * n
         for i, img in enumerate(images):
             inv_images[img] = i
         fix = sum(1 for i in range(n) if images[i] == i)
         # g moves coordinate j to images[j], so the coefficient of b_a in
         # g b_a is the entry of g b_a at free_a, which is b_a[g^-1(free_a)]
-        total += fix - sum(v[inv_images[f]] for v, f in zip(basis, free))
-    value = total / len(perms)
+        total += weight * (fix - sum(v[inv_images[f]] for v, f in zip(basis, free)))
+        order += weight
+    value = Fraction(total) / order
     if value.denominator != 1:
         raise ValueError(f"trace average {value} is not an integer")
     return int(value)

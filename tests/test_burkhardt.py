@@ -208,6 +208,24 @@ def test_invariant_ranks(bk_ranks):
         assert info["orbit_sum_rank"] == info["trace_dimension"]
 
 
+def test_plane_actions_weight_one_representative_per_cycle_type(bk_gram):
+    from a5fano.groups import S6_GENERATORS
+
+    gram = bk_gram[0]
+    s6_gens, actions = bk.plane_actions(gram)
+    weights = {name: [w for _, w in weighted] for name, (weighted, _) in actions.items()}
+    assert weights["S6"] == [1, 15, 45, 15, 40, 120, 40, 90, 90, 144, 120]
+    assert {name: sum(w) for name, w in weights.items()} == {
+        "S6": 720, "A6": 360, "A5_standard": 60, "A5_nonstandard": 60}
+    assert len(weights["A6"]) == 6
+    # 11 plane permutations in all, shared by the subgroups
+    representatives = {images for images, _ in actions["S6"][0]}
+    assert len(representatives) == 11
+    for weighted, _ in actions.values():
+        assert {images for images, _ in weighted} <= representatives
+    assert s6_gens == [bk.plane_permutation(gram, g) for g in S6_GENERATORS]
+
+
 def test_trivial_multiplicities_above_canonical_class(bk_ranks):
     # rank minus the canonical summand: 0 for the full symmetric group and the
     # coordinate-fixing icosahedral subgroup, 1 for the transitive one

@@ -12,6 +12,7 @@ from a5fano.groups import (
     act_on_poly,
     alternating_group_a6,
     canonical_point,
+    cycle_type_counts,
     eval_word,
     generate_group,
     identity_matrix,
@@ -20,6 +21,7 @@ from a5fano.groups import (
     parse_word,
     subgroup_nonstandard_A5,
     subgroup_standard_A5,
+    symmetric_group_s6,
 )
 from a5fano.multipoly import PolyRing
 
@@ -145,6 +147,22 @@ def test_alternating_group():
     group = alternating_group_a6()
     assert len(group) == 360
     assert all(g.is_even() for g in group)
+    # the closure of the generating pair is all of the even permutations
+    assert set(group) == {g for g in symmetric_group_s6() if g.is_even()}
+
+
+def test_cycle_type_counts():
+    s6 = cycle_type_counts(symmetric_group_s6())
+    assert list(s6.values()) == [1, 15, 45, 15, 40, 120, 40, 90, 90, 144, 120]
+    assert list(s6)[:3] == [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 1, 1)]
+    assert all(sum(t) == 6 for t in s6)
+    for group, order in ((symmetric_group_s6(), 720), (alternating_group_a6(), 360),
+                         (subgroup_standard_A5(), 60), (subgroup_nonstandard_A5(), 60)):
+        assert sum(cycle_type_counts(group).values()) == len(group) == order
+    even = [t for t in s6 if sum(length - 1 for length in t) % 2 == 0]
+    assert len(even) == 6
+    assert cycle_type_counts(alternating_group_a6()) == {t: s6[t] for t in even}
+    assert Perm.from_cycles(6, [(0, 5), (1, 4)]).cycle_type() == (2, 2, 1, 1)
 
 
 def test_act_on_poly_with_permutation_fixes_symmetric_function():

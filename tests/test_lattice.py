@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from a5fano import barth as bt
+from a5fano import burkhardt as bk
 from a5fano.barth import load_table2
 from a5fano.exactfield import golden_field, omega_field
 from a5fano.groups import index_orbits
@@ -11,6 +13,7 @@ from a5fano.lattice import (
     ExactMatrix,
     GramMatrix,
     InvalidPartition,
+    _kernel,
     determinant,
     invariant_dimension_via_trace,
     kernel_basis,
@@ -143,27 +146,99 @@ def test_orbit_sum_partition_validation():
         orbit_sum_gram(g, [[0, 1], [1]])
 
 
+def all_elements_trace_average(gram, perms):
+    """The trace method as it stood before it took weighted class
+    representatives: the form checked on every element, and the average of
+    fixed points minus the trace on the kernel taken over every element."""
+    n = gram.size
+    entries = gram.matrix.entries
+    for images in perms:
+        if sorted(images) != list(range(n)):
+            raise ActionNotGramPreserving("element does not permute the classes")
+        for i in range(n):
+            for j in range(n):
+                if entries[i][j] != entries[images[i]][images[j]]:
+                    raise ActionNotGramPreserving(f"pairing not preserved at ({i},{j})")
+    free, basis = _kernel(gram.matrix)
+    total = Fraction(0)
+    for images in perms:
+        inv_images = [0] * n
+        for i, img in enumerate(images):
+            inv_images[img] = i
+        fix = sum(1 for i in range(n) if images[i] == i)
+        total += fix - sum(v[inv_images[f]] for v, f in zip(basis, free))
+    value = total / len(perms)
+    assert value.denominator == 1
+    return int(value)
+
+
+def each_once(perms):
+    return [(p, 1) for p in perms]
+
+
 def test_trace_method_on_trivial_group_gives_rank():
     g = GramMatrix(("a", "b", "c"), [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-    assert invariant_dimension_via_trace(g, [(0, 1, 2)]) == g.rank() == 3
+    assert invariant_dimension_via_trace(g, [((0, 1, 2), 1)], [(0, 1, 2)]) == g.rank() == 3
     degenerate = GramMatrix(("a", "b"), [[-2, 2], [2, -2]])
-    assert invariant_dimension_via_trace(degenerate, [(0, 1)]) == degenerate.rank() == 1
+    assert invariant_dimension_via_trace(degenerate, [((0, 1), 1)], [(0, 1)]) == degenerate.rank() == 1
 
 
 def test_trace_method_rejects_non_preserving_action():
     g = GramMatrix(("a", "b", "c"), [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     with pytest.raises(ActionNotGramPreserving):
-        invariant_dimension_via_trace(g, [(0, 2, 1)])
+        invariant_dimension_via_trace(g, [((0, 2, 1), 1)], [(0, 2, 1)])
+    with pytest.raises(ActionNotGramPreserving):
+        invariant_dimension_via_trace(g, [((0, 0, 1), 1)], [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        invariant_dimension_via_trace(g, [((0, 1, 2), 0)], [(0, 1, 2)])
+
+
+PATH = ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
+REFLECTION, SWAP_AB = (2, 1, 0), (1, 0, 2)  # SWAP_AB moves the pairing of a, c
+
+
+@pytest.mark.parametrize("gens", [(REFLECTION, SWAP_AB), (SWAP_AB, REFLECTION)])
+def test_trace_method_checks_every_generator(gens):
+    # every weighted permutation preserves the form but one generator does
+    # not: the check of either generator alone must raise, as the oracle
+    # does on the group the two generate
+    g = GramMatrix("abc", PATH)
+    weighted = [((0, 1, 2), 1), (REFLECTION, 1)]
+    assert invariant_dimension_via_trace(g, weighted, [REFLECTION]) == 2
+    with pytest.raises(ActionNotGramPreserving):
+        invariant_dimension_via_trace(g, weighted, gens)
+    group = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    with pytest.raises(ActionNotGramPreserving):
+        all_elements_trace_average(g, group)
 
 
 def test_methods_agree_on_small_examples():
     g = GramMatrix(("a", "b"), [[-2, 1], [1, -2]])
     swap_group = [(0, 1), (1, 0)]
-    assert invariant_dimension_via_trace(g, swap_group) == 1
+    assert invariant_dimension_via_trace(g, each_once(swap_group), swap_group) == 1
     assert rank(orbit_sum_gram(g, [[0, 1]])) == 1
     degenerate = GramMatrix(("a", "b"), [[-2, 2], [2, -2]])
-    assert invariant_dimension_via_trace(degenerate, swap_group) == 0
+    assert invariant_dimension_via_trace(degenerate, each_once(swap_group), swap_group) == 0
     assert rank(orbit_sum_gram(degenerate, [[0, 1]])) == 0
+
+
+@pytest.mark.parametrize("name,dimension", [("S6", 1), ("A6", 1), ("A5_standard", 1),
+                                            ("A5_nonstandard", 2)])
+def test_cycle_type_traces_match_all_elements_oracle(bk_gram, name, dimension):
+    gram = bk_gram[0]
+    s6_gens, actions = bk.plane_actions(gram)
+    weighted, _ = actions[name]
+    elements = bk.SUBGROUPS[name][1]()
+    oracle = all_elements_trace_average(gram, [bk.plane_permutation(gram, g) for g in elements])
+    assert invariant_dimension_via_trace(gram, weighted, s6_gens) == oracle == dimension
+
+
+def test_barth_trace_matches_all_elements_oracle(bt_model, bt_surfaces, bt_table2):
+    perms = bt.surface_permutations(bt_model, bt_surfaces[0])
+    gram = bt_table2["gram"]
+    oracle = all_elements_trace_average(gram, perms)
+    assert invariant_dimension_via_trace(gram, each_once(perms), perms) == oracle == 1
+    assert bt_table2["trace_dimension"] == oracle
 
 
 def test_rank_invariant_under_simultaneous_permutations_of_pinned_table():
@@ -279,4 +354,5 @@ def test_trace_method_matches_orbit_sums_on_circulants(first_row, kernel_dim):
     for step in (d for d in range(1, n + 1) if n % d == 0):
         for group in (rotations(n, step), rotations(n, step) + reflections(n, step)):
             expected = rank(orbit_sum_gram(g, index_orbits(group)))
-            assert invariant_dimension_via_trace(g, group) == expected
+            assert invariant_dimension_via_trace(g, each_once(group), group) == expected
+            assert all_elements_trace_average(g, group) == expected
