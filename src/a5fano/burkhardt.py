@@ -374,7 +374,7 @@ SUBGROUPS = {
 }
 
 
-def plane_actions(gram, subgroups=tuple(SUBGROUPS)):
+def plane_actions(gram):
     """The plane permutations that both invariant-rank methods need.
 
     Returns the images of S6's generators and, for each subgroup, a list of
@@ -383,22 +383,23 @@ def plane_actions(gram, subgroups=tuple(SUBGROUPS)):
     the images of the subgroup's generators.  Cycle types are the conjugacy
     classes of S6, so one representative per type serves every subgroup.
     """
-    s6 = symmetric_group_s6()
+    elements = {name: enumerate_group() for name, (_, enumerate_group) in SUBGROUPS.items()}
     representative = {}
-    for g in s6:
+    for g in elements["S6"]:
         representative.setdefault(g.cycle_type(), g)
-    needed = set(representative.values()).union(*(SUBGROUPS[name][0] for name in subgroups))
+    needed = set(representative.values()).union(
+        S6_GENERATORS, *(gens for gens, _ in SUBGROUPS.values())
+    )
     images = {g: plane_permutation(gram, g) for g in needed}
     actions = {}
-    for name in subgroups:
-        gens, elements = SUBGROUPS[name]
-        counts = cycle_type_counts(s6 if name == "S6" else elements())
+    for name, (gens, _) in SUBGROUPS.items():
+        counts = cycle_type_counts(elements[name])
         weighted = [(images[representative[t]], count) for t, count in counts.items()]
         actions[name] = (weighted, [images[g] for g in gens])
     return [images[g] for g in S6_GENERATORS], actions
 
 
-def invariant_ranks(model, gram, subgroups=tuple(SUBGROUPS)):
+def invariant_ranks(model, gram):
     """Both invariant-dimension computations for each subgroup; they must agree.
 
     The trace method checks the form on S6's generators, not only on the
@@ -406,7 +407,7 @@ def invariant_ranks(model, gram, subgroups=tuple(SUBGROUPS)):
     of S6.  The orbit-sum method takes its orbits from the subgroup's
     generators.
     """
-    s6_gens, actions = plane_actions(gram, subgroups)
+    s6_gens, actions = plane_actions(gram)
     out = {}
     for name, (weighted, gens) in actions.items():
         orbits = index_orbits(gens)

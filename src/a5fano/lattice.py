@@ -226,7 +226,8 @@ class GramMatrix:
         return GramMatrix(labels, entries)
 
     def rank(self):
-        return rank(self.matrix)
+        """The size less the number of free columns of the cached kernel."""
+        return self.size - len(self.kernel()[0])
 
     def kernel(self):
         """The free columns and the kernel basis of `_kernel`, computed once;
@@ -277,22 +278,25 @@ def invariant_dimension_via_trace(gram, weighted, gens):
     """Dimension of the invariants of V/K under a group H of class permutations.
 
     V is the permutation module on the classes and K the kernel of the Gram
-    form.  `gens` generate a group G containing H; each generator must
-    preserve the form, and then all of G does, since the permutations that
-    preserve a form make up a group.  So the character of G on V/K is a class
-    function of G.  Permutations are tuples of images.  `weighted` lists
-    (permutation, weight) pairs: a representative of each G-conjugacy class that meets H, weighted by the
-    number of elements of H in that class, or every element of H with weight
-    1.  The dimension is the weighted average of the fixed-point count on V
-    minus the trace on K.  The kernel basis is the identity on its free
-    columns, so each trace is read off those columns directly.
+    form.  Permutations are tuples of images.  `gens` generate a group G that
+    contains H.  `weighted` lists (permutation, weight) pairs: either one
+    representative of each G-conjugacy class that meets H, weighted by the
+    number of elements of H in that class (the module docstring says why that
+    gives the same average), or every element of H with weight 1.  Every
+    permutation given, weighted or generator, must preserve the form.
+    The dimension is the weighted average of the fixed-point count on V minus
+    the trace on K.  The kernel basis is the identity on its free columns, so
+    each trace is read off those columns directly.
     """
     n = gram.size
-    for images in [images for images, _ in weighted] + list(gens):
+    if not gens:
+        raise ValueError("no generators")
+    if not weighted or any(not isinstance(w, int) or w < 1 for _, w in weighted):
+        raise ValueError("weights must be positive integers")
+    entries = gram.matrix.entries
+    for images in {images for images, _ in weighted}.union(gens):
         if sorted(images) != list(range(n)):
             raise ActionNotGramPreserving("element does not permute the classes")
-    entries = gram.matrix.entries
-    for images in gens:
         for i in range(n):
             row = entries[i]
             prow = entries[images[i]]
@@ -301,8 +305,6 @@ def invariant_dimension_via_trace(gram, weighted, gens):
                     raise ActionNotGramPreserving(
                         f"pairing not preserved at classes ({i},{j})"
                     )
-    if not weighted or any(not isinstance(w, int) or w < 1 for _, w in weighted):
-        raise ValueError("weights must be positive integers")
     free, basis = gram.kernel()
     total = order = 0
     for images, weight in weighted:

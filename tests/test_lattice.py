@@ -126,6 +126,18 @@ def test_gram_matrix_validation():
     assert g.rank() == 2
 
 
+def test_gram_rank_from_kernel_matches_naive_elimination():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = [[-2] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice((-2, 0, 1, 2))
+        g = GramMatrix(range(n), rows)
+        assert g.rank() == naive_rank(rows) == g.size - len(g.kernel()[1])
+
+
 def test_gram_json_roundtrip():
     g = GramMatrix(("a", "b"), [[-2, 0], [0, -2]])
     assert GramMatrix.from_json(g.to_json()).matrix.entries == g.matrix.entries
@@ -180,7 +192,8 @@ def test_trace_method_on_trivial_group_gives_rank():
     g = GramMatrix(("a", "b", "c"), [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     assert invariant_dimension_via_trace(g, [((0, 1, 2), 1)], [(0, 1, 2)]) == g.rank() == 3
     degenerate = GramMatrix(("a", "b"), [[-2, 2], [2, -2]])
-    assert invariant_dimension_via_trace(degenerate, [((0, 1), 1)], [(0, 1)]) == degenerate.rank() == 1
+    dimension = invariant_dimension_via_trace(degenerate, [((0, 1), 1)], [(0, 1)])
+    assert dimension == degenerate.rank() == 1
 
 
 def test_trace_method_rejects_non_preserving_action():
@@ -191,6 +204,12 @@ def test_trace_method_rejects_non_preserving_action():
         invariant_dimension_via_trace(g, [((0, 0, 1), 1)], [(0, 1, 2)])
     with pytest.raises(ValueError):
         invariant_dimension_via_trace(g, [((0, 1, 2), 0)], [(0, 1, 2)])
+    # a weighted permutation that breaks the form, with generators that keep it
+    with pytest.raises(ActionNotGramPreserving):
+        invariant_dimension_via_trace(g, [((0, 1, 2), 1), ((0, 2, 1), 1)], [(2, 1, 0)])
+    # no generators: nothing would vouch for the weighted permutations' group
+    with pytest.raises(ValueError, match="no generators"):
+        invariant_dimension_via_trace(g, [((0, 1, 2), 1)], [])
 
 
 PATH = ((-2, 1, 0), (1, -2, 1), (0, 1, -2))
