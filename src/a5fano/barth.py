@@ -32,6 +32,7 @@ from .groups import (
     identity_matrix,
     index_orbits,
     orbit_of,
+    parse_word,
 )
 from .lattice import (
     GramMatrix,
@@ -122,8 +123,24 @@ def load_plane_vectors(name, field, phi, fixtures_dir=None):
     return labels, [tuple(field(a) + phi * b for a, b in vec) for vec in vectors]
 
 
-def load_table1_words(fixtures_dir=None):
-    return _load_fixture("table1_words.json", fixtures_dir)
+def load_table1_words(labels, fixtures_dir=None):
+    """The transport word of each xi label: "Id" or a product of N, R, M
+    with integer exponents, such as "R^2 M^3"."""
+    data = _load_fixture("table1_words.json", fixtures_dir)
+    if not (isinstance(data, dict) and all(isinstance(w, str) for w in data.values())):
+        raise FixtureError("table1_words.json: expected an object of string words")
+    if set(data) != set(labels):
+        raise FixtureError(f"table1_words.json: expected the {len(labels)} xi labels as keys")
+    for label, word in data.items():
+        try:
+            ok = {letter for letter, _ in parse_word(word)} <= {"N", "R", "M"}
+        except ValueError:  # an exponent that is not an integer
+            ok = False
+        if not ok:
+            raise FixtureError(
+                f"table1_words.json: word {word!r} for {label} is not a product of N, R, M"
+            )
+    return data
 
 
 def load_table2(fixtures_dir=None):
@@ -269,10 +286,6 @@ def verify_invariance(model):
     return scalars
 
 
-def verify_group_order(model):
-    return len(model.group3)
-
-
 def certify_node_barth(model, point):
     for pd in gradient(model.sextic):
         if not evaluate(pd, point).is_zero():
@@ -304,12 +317,6 @@ def verify_nodes_barth(model):
         "nodes": len(pts) - len(failures),
         "failures": failures,
     }
-
-
-def smooth_control_point(model):
-    """A sextic point that is none of the 65 singular ones."""
-    field, phi = model.field, model.phi
-    return (field.one, phi, field.zero, field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +534,7 @@ def _lift_to_ring4(model, cubic3):
 
 
 def verify_table1(model, plus, fixtures_dir=None):
-    words = load_table1_words(fixtures_dir)
+    words = load_table1_words(model.xi_labels, fixtures_dir)
     seed = plus[model.xi_labels.index("(1,1,1)")]
     ident = identity_matrix(model.field, 3)
     report = {}
@@ -604,6 +611,16 @@ def surface_permutations(model, plus):
 
 
 def verify_table2_and_ranks(model, plus, minus, fixtures_dir=None):
+    """Compare the plus family's 20x20 intersection matrix with table2.json,
+    and check that minus is plus flipped surface by surface: same plane,
+    opposite sign, negated cubic.  That makes the minus matrix equal to the
+    plus one without building it, since `surface_pair_intersection` depends
+    only on the two planes and on whether a.cubic - b.cubic vanishes on their
+    line, and flipping both surfaces only negates that difference."""
+    if len(minus) != len(plus) or any(
+        m.v != p.v or m.sign == p.sign or m.cubic != -p.cubic for p, m in zip(plus, minus)
+    ):
+        raise Table2Mismatch("minus family is not the plus family flipped")
     fixture = load_table2(fixtures_dir)
     gram_plus = build_table2(model, plus)
     mismatches = []
@@ -618,9 +635,6 @@ def verify_table2_and_ranks(model, plus, minus, fixtures_dir=None):
             f"first mismatch at ({fixture['labels'][i]}, {fixture['labels'][j]}): "
             f"fixture {want}, computed {got}; {len(mismatches)} total"
         )
-    gram_minus = build_table2(model, minus)
-    if gram_minus.matrix.entries != gram_plus.matrix.entries:
-        raise Table2Mismatch("minus-family matrix differs from the plus family")
     row_ok = all(
         sorted(row) == [-2] + [0] * 7 + [1] * 12 for row in gram_plus.matrix.entries
     )
@@ -796,16 +810,6 @@ def verify_plane_classification(model):
 
 
 # ---------------------------------------------------------------------------
-# line counts in the fixed plane x3 = 0
-# ---------------------------------------------------------------------------
-
-def coordinate_plane_line_counts(model):
-    xi_lines = {canonical_point(v) for v in model.xi_vectors}
-    theta_lines = {canonical_point(u) for u in model.theta_vectors}
-    return {"xi_lines": len(xi_lines), "theta_lines": len(theta_lines)}
-
-
-# ---------------------------------------------------------------------------
 # rationality of the double solid
 # ---------------------------------------------------------------------------
 
@@ -901,41 +905,3 @@ def rationality_checks():
         raise IdentityFailed(f"line-form matrix has rank {r}, lines meet")
     report["lines_disjoint_rank"] = r
     return report
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-# ---------------------------------------------------------------------------
-
-def build_report(model=None, fixtures_dir=None):
-    if model is None:
-        model = build_barth(fixtures_dir)
-    scalars = verify_invariance(model)
-    nodes = verify_nodes_barth(model)
-    xi = verify_xi_restrictions(model)
-    theta = verify_theta_restrictions(model)
-    plus, minus = build_solid_surfaces(model)
-    table1 = verify_table1(model, plus, fixtures_dir)
-    table2 = verify_table2_and_ranks(model, plus, minus, fixtures_dir)
-    classification = verify_plane_classification(model)
-    lines = coordinate_plane_line_counts(model)
-    rationality = rationality_checks()
-    return {
-        "group_order": verify_group_order(model),
-        "invariance_scalars": {k: str(v) for k, v in scalars.items()},
-        "orbit_lengths": nodes["orbit_lengths"],
-        "singular_points": nodes["points"],
-        "nodes_certified": nodes["nodes"],
-        "node_failures": nodes["failures"],
-        "xi_restrictions_smooth": sum(1 for v in xi.values() if v["smooth"]),
-        "theta_restrictions": theta,
-        "table1_words_verified": len(table1),
-        "table2": {k: v for k, v in table2.items() if k != "gram"},
-        "plane_classification": classification,
-        "line_counts": lines,
-        "rationality": rationality,
-        "pairing_note": (
-            "computed pairings: ((1,1,1),(1,1,-1)) = 1 and ((1,1,1),(1,-1,-1)) = 0; "
-            "the doubled-plane word M^3 carries (1,1,1) to (1,1,-1)"
-        ),
-    }

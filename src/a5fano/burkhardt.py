@@ -353,17 +353,6 @@ def plane_permutation(gram, g):
     return tuple(images)
 
 
-def verify_plane_action_geometric(model, g, plane):
-    """Check the combinatorial image of a plane matches the geometric image."""
-    img = perm_on_plane(g, plane)
-    forms = plane_forms(model, img)
-    for vec in plane_basis(model, plane):
-        moved = g.act_point(vec)
-        if not all(evaluate(f, moved).is_zero() for f in forms):
-            return False
-    return True
-
-
 # each subgroup of S6 whose invariant rank is computed: its generators and
 # the enumeration of its elements
 SUBGROUPS = {
@@ -424,35 +413,3 @@ def invariant_ranks(model, gram):
             "invariant_rank": trace_method,
         }
     return out
-
-
-def smooth_control_point(model):
-    """A point of the quartic that is not one of the 45 singular points."""
-    field, om = model.field, model.omega
-    return tuple(field(c) for c in (1, om, om * om, 1, 1, -2))
-
-
-def build_report(model=None, gram_blocks=None, ranks=None):
-    """Run the whole scenario and collect the headline numbers."""
-    if model is None:
-        model = build_model()
-    nodes = verify_nodes(model)
-    incidence = plane_incidence(model)
-    gram, block_a, block_b = gram_blocks if gram_blocks is not None else build_gram(model)
-    if ranks is None:
-        ranks = invariant_ranks(model, gram)
-    return {
-        "orbit_lengths": nodes["orbit_lengths"],
-        "singular_points": nodes["points"],
-        "nodes_certified": nodes["nodes"],
-        "node_failures": nodes["failures"],
-        "planes": len(model.planes),
-        "planes_on_quartic": incidence["planes_on_quartic"],
-        "incidence_per_plane": sorted(set(incidence["per_plane"].values())),
-        "incidence_per_point": incidence["per_point_counts"],
-        "pair_rule_mismatches": 0,
-        "gram_rank_full": gram.rank(),
-        "gram_rank_block_without_5": block_a.rank(),
-        "gram_rank_block_with_5": block_b.rank(),
-        "invariant_ranks": ranks,
-    }

@@ -184,10 +184,6 @@ class MatElem:
         scale = next(c for c in flat if not c.is_zero()).inverse()
         return tuple(c * scale for c in flat)
 
-    def canonical(self):
-        scale = next(c for row in self.entries for c in row if not c.is_zero()).inverse()
-        return MatElem(self.field, [[c * scale for c in row] for row in self.entries])
-
     def proj_eq(self, other):
         return self.projective_key() == other.projective_key()
 

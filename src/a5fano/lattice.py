@@ -23,7 +23,6 @@ RationalFunction entries all work, since every one of them supports exact
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -199,19 +198,6 @@ class GramMatrix:
         self.matrix = mat
         self._free_and_basis = None
 
-    @classmethod
-    def from_pairing(cls, labels, pairing):
-        labels = tuple(labels)
-        n = len(labels)
-        entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            entries[i][i] = SELF_PAIRING
-            for j in range(i + 1, n):
-                v = pairing(labels[i], labels[j])
-                entries[i][j] = v
-                entries[j][i] = v
-        return cls(labels, entries)
-
     @property
     def size(self):
         return len(self.labels)
@@ -235,18 +221,6 @@ class GramMatrix:
         if self._free_and_basis is None:
             self._free_and_basis = _kernel(self.matrix)
         return self._free_and_basis
-
-    def to_json(self):
-        return json.dumps(
-            {"labels": [str(l) for l in self.labels],
-             "rows": [[int(x) for x in row] for row in self.matrix.entries]},
-            indent=0,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(tuple(data["labels"]), data["rows"])
 
 
 def orbit_sum_gram(gram, orbits):

@@ -32,10 +32,6 @@ class DegenerateLine(ValueError):
     pass
 
 
-class ChartMismatch(ValueError):
-    pass
-
-
 class UndecidedSmoothness(RuntimeError):
     """The resultant certificates stayed inconclusive on every chart tried."""
 
@@ -150,9 +146,6 @@ class MPoly:
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def constant_coefficient(self):
-        return self.coefficient((0,) * self.ring.arity)
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -409,17 +402,6 @@ def restrict_to_line(p, base, direction):
     u, t = ring2.gens()
     images = [ring2(b) * u + ring2(d) * t for b, d in zip(base, direction)]
     return substitute(p, images)
-
-
-def binary_to_univariate(p, var=1):
-    """Dense coefficient list of a binary form along `var` (other exponent ignored)."""
-    if p.ring.arity != 2:
-        raise RingMismatch("expected a binary form")
-    n = p.degree_in(var)
-    out = [p.ring.field.zero] * (n + 1)
-    for exps, c in p.terms.items():
-        out[exps[var]] = out[exps[var]] + c
-    return out
 
 
 def dense_univariate(p, var):

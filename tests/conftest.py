@@ -1,6 +1,6 @@
 import pytest
 
-from a5fano import barth, burkhardt
+from a5fano import barth, burkhardt, cli
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,11 @@ def bk_gram(bk_model):
 @pytest.fixture(scope="session")
 def bk_ranks(bk_model, bk_gram):
     return burkhardt.invariant_ranks(bk_model, bk_gram[0])
+
+
+@pytest.fixture(scope="session")
+def burkhardt_report():
+    return cli.run_suite("burkhardt")
 
 
 @pytest.fixture(scope="session")

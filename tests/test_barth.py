@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from a5fano import barth as bt
+from a5fano import cli
 from a5fano.groups import canonical_point, eval_word
 from a5fano.multipoly import evaluate, gradient
 
@@ -32,7 +35,9 @@ def test_all_sixty_five_points_are_nodes(bt_model):
 
 
 def test_smooth_point_negative_control(bt_model):
-    pt = bt.smooth_control_point(bt_model)
+    # a sextic point that is none of the 65 singular ones
+    field = bt_model.field
+    pt = (field.one, bt_model.phi, field.zero, field.zero)
     assert evaluate(bt_model.sextic, pt).is_zero()
     union = set(bt_model.sigma15) | set(bt_model.sigma20) | set(bt_model.sigma30)
     assert canonical_point(pt) not in union
@@ -192,6 +197,28 @@ def test_surface_permutations_need_the_whole_group(bt_model, bt_surfaces):
         bt.surface_permutations(replace(bt_model, gens3=gens), plus)
 
 
+def test_minus_family_matrix_equals_plus(bt_model, bt_surfaces, bt_table2):
+    # oracle for the flip check that stands in for this rebuild
+    _, minus = bt_surfaces
+    gram_minus = bt.build_table2(bt_model, minus)
+    assert gram_minus.matrix.entries == bt_table2["gram"].matrix.entries
+
+
+def test_minus_family_must_be_plus_flipped(bt_model, bt_surfaces):
+    plus, minus = bt_surfaces
+    surface = bt.SolidSurface
+    bad_families = {
+        "plus": plus,
+        "cubic not negated": tuple(surface(m.v, m.sign, p.cubic) for p, m in zip(plus, minus)),
+        "sign not flipped": tuple(surface(m.v, p.sign, m.cubic) for p, m in zip(plus, minus)),
+        "plane moved": (surface(minus[1].v, minus[0].sign, minus[0].cubic),) + minus[1:],
+        "short": minus[:19],
+    }
+    for bad in bad_families.values():
+        with pytest.raises(bt.Table2Mismatch, match="not the plus family flipped"):
+            bt.verify_table2_and_ranks(bt_model, plus, bad)
+
+
 def test_corrupted_fixture_detected(bt_model, bt_surfaces, tmp_path):
     import json
     import shutil
@@ -217,8 +244,9 @@ def test_plane_classification_family_checks(bt_model):
 
 
 def test_line_counts_in_fixed_plane(bt_model):
-    counts = bt.coordinate_plane_line_counts(bt_model)
-    assert counts == {"xi_lines": 10, "theta_lines": 6}
+    # each xi plane and its negative meet x3 = 0 in one line
+    assert len({canonical_point(v) for v in bt_model.xi_vectors}) == 10
+    assert len({canonical_point(u) for u in bt_model.theta_vectors}) == 6
 
 
 def test_rationality_checks():
@@ -259,13 +287,11 @@ def test_theta_vectors_form_one_orbit(bt_model):
     assert len(seen) == 6
 
 
-def test_full_report_note_and_serializability(bt_model):
-    import json
-
-    report = bt.build_report(bt_model)
-    assert "(1,1,-1)) = 1" in report["pairing_note"]
-    assert "(1,-1,-1)) = 0" in report["pairing_note"]
+def test_full_report_note_and_serializability():
+    # the verdicts survive a JSON round trip of the report
+    report = cli.run_suite("barth", only=["orbits", "invariance", "table2"])
     parsed = json.loads(json.dumps(report))
-    assert parsed["table2"]["rank"] == 14
-    assert parsed["group_order"] == 60
-    assert parsed["invariance_scalars"] == {"N": "1", "R": "1", "M": "1"}
+    actual = {chk["name"]: chk["actual"] for chk in parsed["checks"]}
+    assert actual["barth/orbits"] == "group order 60, orbits 15+20+30"
+    assert actual["barth/invariance"] == "M:1, N:1, R:1"
+    assert actual["barth/table2"].endswith("minus family equal True, rank 14")

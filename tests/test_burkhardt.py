@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -22,7 +23,9 @@ def test_every_singular_point_is_a_node(bk_model):
 
 
 def test_smooth_point_negative_control(bk_model):
-    pt = bk.smooth_control_point(bk_model)
+    # a point of the quartic that is not one of the 45 singular points
+    field, om = bk_model.field, bk_model.omega
+    pt = tuple(field(c) for c in (1, om, om * om, 1, 1, -2))
     assert evaluate(bk_model.sigma1, pt).is_zero()
     assert evaluate(bk_model.sigma4, pt).is_zero()
     from a5fano.groups import canonical_point
@@ -171,6 +174,8 @@ def test_standard_a5_splits_planes_by_fifth_coordinate(bk_model, bk_gram):
 
 
 def test_plane_action_matches_geometry(bk_model):
+    # g must move the spanning points of each plane onto the plane that
+    # perm_on_plane names as its image
     gens = [
         Perm.from_cycles(6, [(0, 1)]),
         Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)]),
@@ -178,7 +183,10 @@ def test_plane_action_matches_geometry(bk_model):
     ]
     for g in gens:
         for plane in bk_model.planes:
-            assert bk.verify_plane_action_geometric(bk_model, g, plane)
+            forms = bk.plane_forms(bk_model, bk.perm_on_plane(g, plane))
+            for vec in bk.plane_basis(bk_model, plane):
+                moved = g.act_point(vec)
+                assert all(evaluate(f, moved).is_zero() for f in forms), (g, plane)
 
 
 def test_plane_permutation_is_functorial(bk_gram):
@@ -241,16 +249,12 @@ def test_plane_count_and_labels(bk_model):
     assert "+012" in labels and "-012" in labels and "+345" in labels
 
 
-def test_full_report_values_and_serializability(bk_model, bk_gram, bk_ranks):
-    import json
-
-    report = bk.build_report(bk_model, gram_blocks=bk_gram, ranks=bk_ranks)
-    parsed = json.loads(json.dumps(report))
-    assert parsed["orbit_lengths"] == [30, 15]
-    assert parsed["nodes_certified"] == 45
-    assert parsed["incidence_per_plane"] == [9]
-    assert parsed["gram_rank_full"] == 16
-    assert parsed["gram_rank_block_without_5"] == 16
-    assert parsed["gram_rank_block_with_5"] == 12
-    assert parsed["invariant_ranks"]["A5_nonstandard"]["invariant_rank"] == 2
-    assert parsed["pair_rule_mismatches"] == 0
+def test_full_report_values_and_serializability(burkhardt_report):
+    parsed = json.loads(json.dumps(burkhardt_report))
+    actual = {chk["name"]: chk["actual"] for chk in parsed["checks"]}
+    assert actual["burkhardt/orbits"] == "orbits 30+15, 45 distinct points"
+    assert actual["burkhardt/nodes"] == "45/45 nodes"
+    assert actual["burkhardt/incidence"].startswith("per-plane [9], ")
+    assert actual["burkhardt/gram-rank"] == "full 16, block-without-5 16, block-with-5 12"
+    assert "A5_nonstandard 2(2=2)" in actual["burkhardt/invariant-ranks"]
+    assert actual["burkhardt/meet-rule"] == "780/780 pairs match the meet rule"

@@ -1,15 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from a5fano import cli
-
-
-@pytest.fixture(scope="module")
-def burkhardt_report():
-    return cli.run_suite("burkhardt")
 
 
 def test_catalog_is_complete_and_ordered():
@@ -153,6 +152,25 @@ def test_misshapen_plane_fixture_names_the_file(tmp_path, capsys):
         assert name in actual and "3 coordinates" in actual
 
 
+def test_misshapen_table1_words_names_the_file(tmp_path, capsys):
+    cuts = [
+        lambda words: {**words, "(1,1,1)": "Q(("},
+        lambda words: {**words, "(1,1,1)": "M^x"},
+        lambda words: {**words, "(1,1,1)": 3},
+        lambda words: {k: w for k, w in words.items() if k != "(1,1,-1)"},
+        lambda words: list(words.values()),
+    ]
+    for k, cut in enumerate(cuts):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        copy_fixtures(directory)
+        words = json.loads((directory / "table1_words.json").read_text())
+        (directory / "table1_words.json").write_text(json.dumps(cut(words)))
+        code, actual = run_with_fixtures(directory, "table1", capsys)
+        assert code == 1
+        assert "table1_words.json" in actual
+
+
 def test_missing_fixture_reported_as_failure(tmp_path, capsys):
     code = cli.main([
         "verify", "barth", "--check", "table1",
@@ -183,3 +201,37 @@ def test_every_catalog_entry_is_selected_by_verify_all():
     assert names == [n for n, _, _ in cli.CATALOG]
     assert cli.checks_for_suite("barth") == [n for n, _, _ in cli.CATALOG
                                              if n.startswith("barth/")]
+
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Run in a fresh interpreter: the traced benchmark imports a5fano.cli alone
+# and then looks every module and target up, so a suite module that cli
+# stops importing at load time, or a wrapped name that is deleted, breaks
+# every traced run.
+TRACER_LOOKUP = """
+import importlib.util, sys
+import a5fano.cli
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+for module in tracer.MODULES:
+    if "a5fano." + module not in sys.modules:
+        print("not loaded:", module)
+for module, path, span, _ in tracer.TARGETS:
+    owner = sys.modules.get("a5fano." + module)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    if not callable(owner):
+        print("unresolved:", span)
+"""
+
+
+def test_tracer_targets_resolve():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_LOOKUP, str(TRACER_PATH)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -138,11 +138,6 @@ def test_gram_rank_from_kernel_matches_naive_elimination():
         assert g.rank() == naive_rank(rows) == g.size - len(g.kernel()[1])
 
 
-def test_gram_json_roundtrip():
-    g = GramMatrix(("a", "b"), [[-2, 0], [0, -2]])
-    assert GramMatrix.from_json(g.to_json()).matrix.entries == g.matrix.entries
-
-
 def test_orbit_sum_singletons_reproduce_matrix():
     g = GramMatrix(("a", "b", "c"), [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     osum = orbit_sum_gram(g, [[0], [1], [2]])
