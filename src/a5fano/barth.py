@@ -36,7 +36,6 @@ from .groups import (
 )
 from .lattice import (
     GramMatrix,
-    determinant,
     invariant_dimension_via_trace,
     kernel_basis,
     orbit_sum_gram,
@@ -45,12 +44,10 @@ from .lattice import (
 from .multipoly import (
     MPoly,
     PolyRing,
-    dehomogenize,
     divmod_single,
     evaluate,
     exact_square_root,
-    gradient,
-    hessian_at,
+    node_failure,
     restrict_to_line,
     substitute,
     ternary_conic_classify,
@@ -286,21 +283,6 @@ def verify_invariance(model):
     return scalars
 
 
-def certify_node_barth(model, point):
-    for pd in gradient(model.sextic):
-        if not evaluate(pd, point).is_zero():
-            return False, "gradient does not vanish"
-    chart = next(i for i, c in enumerate(point) if not c.is_zero())
-    scale = point[chart].inverse()
-    pt = [c * scale for c in point]
-    affine = dehomogenize(model.sextic, chart)
-    affine_pt = [c for i, c in enumerate(pt) if i != chart]
-    hess = hessian_at(affine, affine_pt)
-    if determinant(hess).is_zero():
-        return False, "degenerate quadratic part"
-    return True, "node"
-
-
 def verify_nodes_barth(model):
     pts = set(model.sigma15) | set(model.sigma20) | set(model.sigma30)
     failures = []
@@ -308,8 +290,8 @@ def verify_nodes_barth(model):
         if not evaluate(model.sextic, pt).is_zero():
             failures.append((tuple(str(c) for c in pt), "not on the sextic"))
             continue
-        ok, reason = certify_node_barth(model, pt)
-        if not ok:
+        reason = node_failure(model.sextic, pt)
+        if reason:
             failures.append((tuple(str(c) for c in pt), reason))
     return {
         "orbit_lengths": [len(model.sigma15), len(model.sigma20), len(model.sigma30)],

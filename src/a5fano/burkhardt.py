@@ -33,12 +33,11 @@ from .groups import (
 )
 from .lattice import (
     GramMatrix,
-    determinant,
     invariant_dimension_via_trace,
     orbit_sum_gram,
     rank,
 )
-from .multipoly import PolyRing, dehomogenize, evaluate, gradient, hessian_at, substitute
+from .multipoly import PolyRing, evaluate, node_failure, substitute
 
 
 class IdenticalPlanes(ValueError):
@@ -186,33 +185,23 @@ def build_model():
 
 
 def certify_node(model, point):
-    """Check a projective point of the quartic is a node (in the P^4 model)."""
+    """Why a projective point of the quartic is not a node (in the P^4
+    model), or None if it is one."""
     p4 = point[:5]
-    chart = next((i for i, c in enumerate(p4) if not c.is_zero()), None)
-    if chart is None:
-        return False, "point lies outside the P^4 chart cover"
-    scale = p4[chart].inverse()
-    p4 = [c * scale for c in p4]
+    if all(c.is_zero() for c in p4):
+        return "point lies outside the P^4 chart cover"
     if not evaluate(model.sigma1, point).is_zero():
-        return False, "point misses the hyperplane"
+        return "point misses the hyperplane"
     if not evaluate(model.sigma4, point).is_zero():
-        return False, "point misses the quartic"
-    for pd in gradient(model.quartic_p4):
-        if not evaluate(pd, p4).is_zero():
-            return False, "gradient does not vanish"
-    affine = dehomogenize(model.quartic_p4, chart)
-    affine_pt = [c for i, c in enumerate(p4) if i != chart]
-    hess = hessian_at(affine, affine_pt)
-    if determinant(hess).is_zero():
-        return False, "degenerate quadratic part"
-    return True, "node"
+        return "point misses the quartic"
+    return node_failure(model.quartic_p4, p4)
 
 
 def verify_nodes(model):
     failures = []
     for pt in model.singular_points:
-        ok, reason = certify_node(model, pt)
-        if not ok:
+        reason = certify_node(model, pt)
+        if reason:
             failures.append((tuple(str(c) for c in pt), reason))
     return {
         "points": len(model.singular_points),

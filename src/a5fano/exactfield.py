@@ -11,9 +11,8 @@ conjugate/norm for degree 2 and the adjugate of the integer multiplication
 matrix for degrees 3 and 4.  The degree-1 field is plain Q.
 
 `fractions.Fraction` remains where values enter and leave a field (the
-field's constructor, `FieldElement.coords`, `rational_value`, `str`, and
-`embed`, which reads `coords`), in the irreducibility checks, and in
-`rational_sqrt` and `sqrt_in_field`.  Rational functions are reduced
+field's constructor, `FieldElement.coords`, `rational_value` and `str`), and
+in `rational_sqrt` and `sqrt_in_field`.  Rational functions are reduced
 fractions of dense univariate polynomials over a number field.
 """
 
@@ -29,10 +28,6 @@ class FieldError(ValueError):
 
 class FieldMismatch(FieldError):
     """Operands live in different fields."""
-
-
-class ReduciblePolynomial(FieldError):
-    """A minimal polynomial with a rational root or rational quadratic factor."""
 
 
 # ---------------------------------------------------------------------------
@@ -53,16 +48,6 @@ def _poly_add(a, b):
         x = a[i] if i < len(a) else 0
         y = b[i] if i < len(b) else 0
         out.append(x + y)
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x - y)
     return _trim(out)
 
 
@@ -109,13 +94,6 @@ def _poly_gcd_monic(a, b):
     return a
 
 
-def _poly_eval(coeffs, point, zero):
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # rational helpers
 # ---------------------------------------------------------------------------
@@ -130,109 +108,6 @@ def rational_sqrt(q):
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients."""
-    coeffs = _trim([Fraction(c) for c in coeffs])
-    if not coeffs:
-        return []
-    # strip trailing zero roots
-    roots = []
-    low = 0
-    while low < len(coeffs) and coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) <= 1:
-        return roots
-    # clear denominators to integer coefficients
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return sorted(set(out))
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(ints, cand, Fraction(0)) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
-def _has_rational_quadratic_factor(coeffs):
-    """Whether a monic quartic over Q has a monic quadratic factor x^2+a*x+b over Q.
-
-    The remainder of m modulo x^2+a*x+b is R1(a,b)*x + R0(a,b); eliminating b
-    from R1 = R0 = 0 leaves a univariate condition on a whose rational roots
-    are tried explicitly.
-    """
-    m = [Fraction(c) for c in coeffs]
-    assert len(m) == 5 and m[4] == 1
-    m3, m2, m1, m0 = m[3], m[2], m[1], m[0]
-    # long division of x^4+m3x^3+m2x^2+m1x+m0 by x^2+ax+b:
-    #   quotient x^2 + (m3-a)x + (m2 - b - a(m3-a))
-    #   R1 = m1 - b(m3-a) - a(m2 - b - a(m3-a))
-    #   R0 = m0 - b(m2 - b - a(m3-a))
-    # For each rational root a of the eliminant, solve for b.
-    # Eliminate b: from R1 = 0, b*(a - m3 + a) ... solve linear in b when possible.
-    # R1 = m1 - b*m3 + a*b - a*m2 + a*b + a^2*m3 - a^3
-    #    = m1 - a*m2 + a^2*m3 - a^3 + b*(2a - m3)
-    # R0 = m0 - b*(m2 - a*m3 + a^2) + b^2
-    # Case 2a - m3 != 0: b = (a^3 - a^2*m3 + a*m2 - m1)/(2a - m3); substitute into R0.
-    # The set of candidate a's: rational roots of the numerator of R0 after
-    # substitution, a degree-6 rational polynomial; build it by clearing (2a-m3)^2.
-    # N(a) = m0*(2a-m3)^2 - B(a)*(m2 - a*m3 + a^2)*(2a-m3) + B(a)^2
-    # with B(a) = a^3 - a^2*m3 + a*m2 - m1.
-    B = [-m1, m2, -m3, Fraction(1)]
-    lin = [-m3, Fraction(2)]
-    quad = [m2, -m3, Fraction(1)]
-    z = Fraction(0)
-    lin2 = _poly_mul(lin, lin, z)
-    N = _poly_add(
-        _poly_sub(_poly_mul([m0], lin2, z), _poly_mul(_poly_mul(B, quad, z), lin, z)),
-        _poly_mul(B, B, z),
-    )
-    candidates = set(_rational_roots(N)) if N else set()
-    # Case 2a - m3 == 0 handled separately: a = m3/2, R1 reduces to a constant.
-    candidates.add(m3 / 2)
-    for a in candidates:
-        if 2 * a - m3 != 0:
-            b = (a ** 3 - a ** 2 * m3 + a * m2 - m1) / (2 * a - m3)
-            bs = [b]
-        else:
-            if m1 - a * m2 + a ** 2 * m3 - a ** 3 != 0:
-                continue
-            # R0 = b^2 - b*(m2 - a*m3 + a^2) + m0 = 0, quadratic in b
-            p = m2 - a * m3 + a ** 2
-            disc = p * p - 4 * m0
-            r = rational_sqrt(disc)
-            if r is None:
-                continue
-            bs = [(p + r) / 2, (p - r) / 2]
-        for b in bs:
-            _, rem = _poly_divmod(m, [b, a, Fraction(1)])
-            if not rem:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +141,12 @@ class NumberField:
     polynomials agree.  The minimal polynomial may have rational
     coefficients; the reduction rules x^k mod m (k = degree .. 2*degree-2)
     are kept as integer rows over one common denominator.
+
+    Irreducibility of m is the caller's contract and is not checked here.
+    The four fields the package builds (`rationals`, `golden_field`,
+    `omega_field`, `branch_root_field`) are certified irreducible by
+    `tests/test_minpoly_certificate.py`; a reducible m shows up as a
+    `FieldError` when an element of norm zero is inverted.
     """
 
     __slots__ = ("degree", "minpoly", "name", "_rows", "_rows_den", "_hash")
@@ -277,10 +158,6 @@ class NumberField:
         degree = len(coeffs) - 1
         if degree > 4:
             raise FieldError("only degrees 1..4 are supported")
-        if degree >= 2 and _rational_roots(list(coeffs)):
-            raise ReduciblePolynomial(f"{list(coeffs)} has a rational root")
-        if degree == 4 and _has_rational_quadratic_factor(list(coeffs)):
-            raise ReduciblePolynomial(f"{list(coeffs)} has a rational quadratic factor")
         self.degree = degree
         self.minpoly = coeffs
         self.name = name
@@ -566,11 +443,6 @@ class FieldElement:
         return out
 
 
-def make_number_field(minpoly, name="a"):
-    """Build Q[x]/(m(x)); raises ReduciblePolynomial when m factors over Q."""
-    return NumberField(minpoly, name=name)
-
-
 _QQ = NumberField((Fraction(0), Fraction(1)), name="x")
 
 
@@ -601,17 +473,6 @@ def branch_root_field():
     s = fld.gen()
     phi = (s * s - 1) / 2
     return fld, s, phi
-
-
-def embed(a, target, gen_image):
-    """Map a FieldElement into another field by sending its generator to gen_image."""
-    acc = target.zero
-    power = target.one
-    for c in a.coords:
-        if c:
-            acc = acc + power * c
-        power = power * gen_image
-    return acc
 
 
 def sqrt_in_field(a):
@@ -712,11 +573,6 @@ class RationalFunctionField:
         # a coefficient list for a polynomial in the transcendental
         num = tuple(self.base(c) for c in value)
         return RationalFunction(self, num, (self.base.one,)).normalized()
-
-    def from_polys(self, num, den):
-        return RationalFunction(
-            self, tuple(self.base(c) for c in num), tuple(self.base(c) for c in den)
-        ).normalized()
 
 
 class RationalFunction:

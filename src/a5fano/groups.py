@@ -184,9 +184,6 @@ class MatElem:
         scale = next(c for c in flat if not c.is_zero()).inverse()
         return tuple(c * scale for c in flat)
 
-    def proj_eq(self, other):
-        return self.projective_key() == other.projective_key()
-
     def __eq__(self, other):
         return (
             isinstance(other, MatElem)

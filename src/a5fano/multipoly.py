@@ -21,7 +21,7 @@ from .exactfield import (
     rational_sqrt,
     sqrt_in_field,
 )
-from .lattice import _echelon
+from .lattice import _echelon, determinant
 
 
 class RingMismatch(ValueError):
@@ -244,7 +244,12 @@ class MPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            terms = self.terms
+            if len(terms) > 1 or (terms and any(next(iter(terms)))):
+                self._hash = hash((self.ring, frozenset(terms.items())))
+            else:
+                # a constant hashes like its coefficient, which it compares equal to
+                self._hash = hash(terms.get((0,) * self.ring.arity, 0))
         return self._hash
 
     def sorted_terms(self):
@@ -309,18 +314,6 @@ def substitute(p, images):
     return acc
 
 
-def map_coefficients(p, fn, new_ring):
-    """Rebuild p in new_ring, sending each coefficient through fn."""
-    if new_ring.arity != p.ring.arity:
-        raise RingMismatch("arity change not allowed in map_coefficients")
-    terms = {}
-    for e, c in p.terms.items():
-        c2 = new_ring.field(fn(c))
-        if not c2.is_zero():
-            terms[e] = c2
-    return MPoly(new_ring, terms)
-
-
 def partial_derivative(p, var):
     terms = {}
     for exps, c in p.terms.items():
@@ -364,6 +357,25 @@ def hessian_at(p, point):
             row.append(evaluate(partial_derivative(firsts[i], j), point))
         rows.append(row)
     return rows
+
+
+def node_failure(f, point):
+    """Why `point` is not a node of the hypersurface f = 0, or None if it is.
+
+    A node is a point where every first partial of f vanishes and the
+    Hessian of f, dehomogenised on the first chart where the point is
+    nonzero and taken at the point scaled into that chart, is nonsingular.
+    """
+    chart = next(i for i, c in enumerate(point) if not c.is_zero())
+    scale = point[chart].inverse()
+    point = [c * scale for c in point]
+    for pd in gradient(f):
+        if not evaluate(pd, point).is_zero():
+            return "gradient does not vanish"
+    affine_pt = [c for i, c in enumerate(point) if i != chart]
+    if determinant(hessian_at(dehomogenize(f, chart), affine_pt)).is_zero():
+        return "degenerate quadratic part"
+    return None
 
 
 def dehomogenize(p, var, names=None):

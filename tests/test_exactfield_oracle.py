@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from a5fano import exactfield
+from test_exactfield import embed
 
 REFERENCE_PATH = (Path(__file__).resolve().parents[1]
                   / "perfbench" / "reference" / "a5fano" / "exactfield.py")
@@ -120,7 +121,7 @@ def test_integer_coordinates_match_fraction_reference(name):
         if name == "phi":
             S, RS = FIELDS["s"]
             s, rs = S.gen(), RS.gen()
-            assert_same(exactfield.embed(a, S, (s * s - 1) / 2),
+            assert_same(embed(a, S, (s * s - 1) / 2),
                         ref.embed(ra, RS, (rs * rs - 1) / 2))
 
     check()

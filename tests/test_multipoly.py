@@ -15,6 +15,7 @@ from a5fano.multipoly import (
     exact_square_root,
     gradient,
     hessian_at,
+    node_failure,
     partial_derivative,
     restrict_to_line,
     substitute,
@@ -420,3 +421,19 @@ def test_dehomogenize_and_evaluate():
     assert aff.ring.arity == 2
     assert evaluate(aff, [2, 3]) == evaluate(p, [2, 3, 1])
     assert evaluate(gradient(p)[0], [1, 1, 1]) == 2
+
+
+def test_node_failure_scales_into_the_chart():
+    # f = 3 x0 u^2 + 3 x0 x2^2 - u^3 with u = x1 - x0 has a node at (1:1:0).
+    # On the chart x0 = 1 it reads 3(y1-1)^2 + 3 y2^2 - (y1-1)^3, whose
+    # Hessian diag(6 - 6(y1-1), 6) is nonsingular at (1, 0) and singular at
+    # (2, 0), where the unscaled representative (2, 2, 0) would land.
+    R = PolyRing(QQ, ("x0", "x1", "x2"))
+    x0, x1, x2 = R.gens()
+    u = x1 - x0
+    f = 3 * x0 * u ** 2 + 3 * x0 * x2 ** 2 - u ** 3
+    for pt in ((1, 1, 0), (2, 2, 0), (Fraction(-1, 3), Fraction(-1, 3), 0)):
+        assert node_failure(f, [QQ(c) for c in pt]) is None
+    assert node_failure(f, [QQ(1), QQ(0), QQ(0)]) == "gradient does not vanish"
+    cusp = x0 * x1 ** 2 - x2 ** 3
+    assert node_failure(cusp, [QQ(5), QQ(0), QQ(0)]) == "degenerate quadratic part"
