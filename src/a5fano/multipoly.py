@@ -4,23 +4,16 @@ Terms are stored as a map from exponent tuples to nonzero scalars; the
 monomial order is graded lexicographic throughout, which fixes leading terms
 for the square-root recursion and makes printing canonical.  The same engine
 serves every base field in the package (Q, Q(omega), Q(phi), the degree-4
-tower, and rational-function fields).
+tower, and rational-function fields).  Plane curves are certified by ranks:
+a conic by its symmetric matrix, a cubic's smoothness by one 6x6 resultant
+matrix built from its gradient and its Hessian's gradient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import (
-    FieldMismatch,
-    NumberField,
-    RationalFunction,
-    RationalFunctionField,
-    _poly_gcd_monic,
-    _trim,
-    rational_sqrt,
-    sqrt_in_field,
-)
+from .exactfield import FieldMismatch, NumberField, rational_sqrt, sqrt_in_field
 from .lattice import _echelon, determinant
 
 
@@ -30,10 +23,6 @@ class RingMismatch(ValueError):
 
 class DegenerateLine(ValueError):
     pass
-
-
-class UndecidedSmoothness(RuntimeError):
-    """The resultant certificates stayed inconclusive on every chart tried."""
 
 
 def _grlex(exps):
@@ -416,19 +405,6 @@ def restrict_to_line(p, base, direction):
     return substitute(p, images)
 
 
-def dense_univariate(p, var):
-    """Dense coefficient list when p involves only the given variable."""
-    for exps in p.terms:
-        for i, e in enumerate(exps):
-            if e and i != var:
-                raise RingMismatch("polynomial is not univariate in the given variable")
-    n = p.degree_in(var)
-    out = [p.ring.field.zero] * (max(n, 0) + 1)
-    for exps, c in p.terms.items():
-        out[exps[var]] = c
-    return out
-
-
 def divmod_single(p, d):
     """Division by a single divisor in graded-lex order; returns (q, r).
 
@@ -470,7 +446,7 @@ def exact_divide(p, d):
 # ---------------------------------------------------------------------------
 
 def scalar_sqrt(field, a):
-    """A square root of scalar a in its field, or None; raises when undecidable."""
+    """A square root of scalar a in its number field, or None; raises when undecidable."""
     if isinstance(field, NumberField):
         if field.degree <= 2:
             return sqrt_in_field(a)
@@ -478,65 +454,23 @@ def scalar_sqrt(field, a):
             r = rational_sqrt(a.rational_value())
             return None if r is None else field(r)
         raise FieldMismatch("square root undecidable in this field")
-    if isinstance(field, RationalFunctionField):
-        sn = _dense_sqrt(list(a.num), field.base)
-        if sn is None:
-            return None
-        sd = _dense_sqrt(list(a.den), field.base)
-        if sd is None:
-            return None
-        return RationalFunction(field, tuple(sn), tuple(sd)).normalized()
     raise FieldMismatch("unsupported scalar field")
 
 
-def _dense_sqrt(coeffs, base):
-    """Square root of a dense univariate polynomial over `base`, or None."""
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if not coeffs:
-        return []
-    deg = len(coeffs) - 1
-    if deg % 2:
-        return None
-    lead = scalar_sqrt(base, coeffs[-1])
-    if lead is None:
-        return None
-    half = deg // 2
-    q = [base.zero] * (half + 1)
-    q[half] = lead
-    # coefficients from the top down: the x^(deg-k) term of q^2 is
-    # 2*q[half]*q[half-k] plus ordered cross products of known entries
-    for k in range(1, half + 1):
-        idx = half - k
-        cross = base.zero
-        for i in range(idx + 1, half):
-            cross = cross + q[i] * q[deg - k - i]
-        q[idx] = (coeffs[deg - k] - cross) / (2 * lead)
-    # verify the lower half
-    sq = [base.zero] * (deg + 1)
-    for i in range(half + 1):
-        for j in range(half + 1):
-            sq[i + j] = sq[i + j] + q[i] * q[j]
-    if all((sq[i] - coeffs[i]).is_zero() if i < len(coeffs) else sq[i].is_zero() for i in range(deg + 1)):
-        return q
-    return None
-
-
 def exact_square_root(p):
-    """q with q*q == p, solved from the leading term down, or None."""
+    """q with q*q == p, solved from the leading term down, or None.
+
+    A monic p needs no scalar square root, so it may have coefficients in
+    any field; otherwise the leading coefficient's root comes from
+    `scalar_sqrt`, which knows number fields only.
+    """
     if p.is_zero():
         return p
     ring = p.ring
     le, lc = p.leading()
     if any(e % 2 for e in le):
         return None
-    try:
-        root = scalar_sqrt(ring.field, lc)
-    except FieldMismatch:
-        if lc == ring.field.one:
-            root = ring.field.one
-        else:
-            raise
+    root = ring.field.one if lc == ring.field.one else scalar_sqrt(ring.field, lc)
     if root is None:
         return None
     t1 = ring.monomial(tuple(e // 2 for e in le), root)
@@ -576,7 +510,11 @@ def _coefficients_in(p, var):
 
 
 def _bareiss_det_poly(rows):
-    """Fraction-free (Bareiss) determinant: `MPoly` has no exact `/` for `lattice._echelon`."""
+    """Fraction-free (Bareiss) determinant: `MPoly` has no exact `/` for `lattice._echelon`.
+
+    Serves the Sylvester matrices of `sylvester_resultant` and the Hessian
+    determinant in `ternary_cubic_is_smooth`.
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
@@ -632,24 +570,6 @@ def sylvester_resultant(p, q, var):
     return _bareiss_det_poly(rows)
 
 
-def _univariate_common_root(polys):
-    """Whether nonzero dense univariates over a field share a root in C.
-
-    Zero polynomials impose no constraint; an empty or all-zero family counts
-    as having roots everywhere.
-    """
-    dense = [_trim(list(c)) for c in polys]
-    dense = [d for d in dense if d]
-    if not dense:
-        return True
-    g = dense[0]
-    for d in dense[1:]:
-        g = _poly_gcd_monic(g, d)
-        if len(g) == 1:
-            return False
-    return len(g) > 1
-
-
 def ternary_conic_classify(q):
     """Classify a ternary quadric by the rank of its symmetric matrix."""
     if q.ring.arity != 3 or q.is_zero() or q.total_degree() != 2 or not q.is_homogeneous():
@@ -669,149 +589,24 @@ def ternary_conic_classify(q):
     return {3: "irreducible", 2: "line-pair", 1: "double-line"}[rank]
 
 
-_CHART_TRANSFORMS = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
-    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
-    ((1, 2, 0), (0, 1, 1), (1, 0, 1)),
-    ((1, 1, 1), (0, 1, 2), (0, 0, 1)),
-    ((2, 1, 1), (1, 3, 1), (1, 1, 4)),
-)
-
-
-def _binary_common_root(forms):
-    """Common projective root of binary forms (arity-2 MPolys) over C."""
-    field = forms[0].ring.field
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return True
-    # the point [1:0]
-    if all(evaluate(f, [field.one, field.zero]).is_zero() for f in nonzero):
-        return True
-    # points [t:1]
-    dense = [binary_to_univariate_poly(f) for f in nonzero]
-    return _univariate_common_root(dense)
-
-
-def binary_to_univariate_poly(f):
-    n = f.degree_in(0)
-    out = [f.ring.field.zero] * (n + 1)
-    for exps, c in f.terms.items():
-        out[exps[0]] = out[exps[0]] + c
-    return out
-
-
-def _common_root_on_fiber(qs, beta, field):
-    """Whether the three conics share a zero with first coordinate beta."""
-    specialized = []
-    for q in qs:
-        coeffs = _coefficients_in(q, 1)
-        vals = [evaluate(c, [beta, field.zero]) for c in coeffs]
-        specialized.append(vals)
-    nonzero = [v for v in specialized if any(not x.is_zero() for x in v)]
-    if not nonzero:
-        return True
-    return _univariate_common_root(nonzero)
-
-
-def _conics_have_common_zero(q0, q1, q2):
-    """Decide a common affine zero of three conics in two variables.
-
-    Returns True/False, or None when the resultant certificate is inconclusive
-    for this chart.  A common zero forces the first coordinate to be a common
-    root of the pairwise resultants against the pivot conic (away from the
-    pivot's leading-coefficient locus, handled separately); candidate fibers
-    cut out in degree one are then decided by direct substitution.
-    """
-    ring = q0.ring
-    field = ring.field
-    qs = [q0, q1, q2]
-    degs = [q.degree_in(1) for q in qs]
-    if max(degs) <= 0:
-        # no second variable at all: common root of univariates in x1
-        dense = [dense_univariate(q, 0) for q in qs if not q.is_zero()]
-        if not dense:
-            return True
-        return _univariate_common_root(dense)
-    star = max(range(3), key=lambda i: degs[i])
-    others = [i for i in range(3) if i != star]
-    resultants = []
-    for j in others:
-        if qs[j].is_zero():
-            continue
-        if qs[j].degree_in(1) == 0:
-            resultants.append(qs[j])
-        else:
-            resultants.append(sylvester_resultant(qs[star], qs[j], 1))
-    if not resultants:
-        return True  # a single nonzero conic always has zeros over C
-    if any(r.is_zero() for r in resultants):
-        return None
-    dense = [_trim(dense_univariate(r, 0)) for r in resultants]
-    g = dense[0]
-    for d in dense[1:]:
-        g = _poly_gcd_monic(g, d)
-    candidates = []
-    undecided = False
-    if len(g) == 2:
-        candidates.append(-g[0] / g[1])
-    elif len(g) > 2:
-        undecided = True
-    lead = _coefficients_in(qs[star], 1)[-1]
-    if degs[star] == 1:
-        # linear pivot: its leading coefficient may vanish along one fiber
-        lc = dense_univariate(lead, 0)
-        if len(lc) > 1:
-            candidates.append(-lc[0] / lc[1])
-    for beta in candidates:
-        if _common_root_on_fiber(qs, beta, field):
-            return True
-    if undecided:
-        return None
-    return False
+_QUADRATIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
 def ternary_cubic_is_smooth(c):
     """Whether a ternary cubic defines a smooth plane curve.
 
-    Decided by resultant chains on the partial derivatives, retried under a
-    fixed schedule of invertible integer coordinate changes when a chart
-    certificate is inconclusive.
+    In characteristic 0 the curve is smooth iff its three partials, plane
+    conics, have no common zero in P^2, that is iff their resultant is
+    nonzero.  By Sylvester's formula for three ternary quadrics (Cox, Little
+    and O'Shea, *Using Algebraic Geometry*, ch. 3 sec. 2) that resultant is a
+    nonzero constant times the 6x6 determinant of the coefficients, on the
+    six quadratic monomials, of the three partials and of the three partials
+    of their Jacobian, here the Hessian determinant H of c.
     """
     if c.ring.arity != 3 or c.total_degree() != 3 or not c.is_homogeneous():
         raise RingMismatch("expected a ternary cubic form")
-    ring = c.ring
-    gens = ring.gens()
-    for mat in _CHART_TRANSFORMS:
-        images = []
-        for row in mat:
-            img = ring.zero
-            for coef, g in zip(row, gens):
-                if coef:
-                    img = img + g * coef
-            images.append(img)
-        cc = substitute(c, images)
-        partials = gradient(cc)
-        if any(p.is_zero() for p in partials):
-            return False
-        # points with x0 = 0
-        binary_ring = PolyRing(ring.field, ("y1", "y2"))
-        binaries = []
-        for p in partials:
-            terms = {}
-            for exps, coef in p.terms.items():
-                if exps[0] == 0:
-                    terms[(exps[1], exps[2])] = coef
-            binaries.append(MPoly(binary_ring, terms))
-        if _binary_common_root(binaries):
-            return False
-        # points with x0 = 1
-        chart = [dehomogenize(p, 0) for p in partials]
-        got = _conics_have_common_zero(*chart)
-        if got is True:
-            return False
-        if got is False:
-            return True
-    raise UndecidedSmoothness("no chart produced a conclusive certificate")
+    firsts = gradient(c)
+    hessian = _bareiss_det_poly([gradient(p) for p in firsts])
+    rows = [[q.coefficient(e) for e in _QUADRATIC_MONOMIALS]
+            for q in firsts + gradient(hessian)]
+    return len(_echelon(rows)[1]) == 6

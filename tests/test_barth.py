@@ -5,7 +5,7 @@ import pytest
 from a5fano import barth as bt
 from a5fano import cli
 from a5fano.groups import canonical_point, eval_word
-from a5fano.multipoly import evaluate, gradient
+from a5fano.multipoly import evaluate, gradient, node_failure
 
 
 def test_orbit_sizes_and_disjointness(bt_model):
@@ -32,6 +32,17 @@ def test_all_sixty_five_points_are_nodes(bt_model):
     assert report["orbit_lengths"] == [15, 20, 30]
     assert report["nodes"] == 65
     assert report["failures"] == []
+
+
+def test_nodes_certified_from_any_representative(bt_model):
+    # every stored node has first nonzero coordinate 1; times phi it must
+    # still be certified.  Unlike the Burkhardt nodes times omega, these would
+    # pass without the scaling into the chart too: the dehomogenised Hessian
+    # stays nonsingular at the unscaled points
+    phi = bt_model.phi
+    union = set(bt_model.sigma15) | set(bt_model.sigma20) | set(bt_model.sigma30)
+    for pt in union:
+        assert node_failure(bt_model.sextic, [c * phi for c in pt]) is None
 
 
 def test_smooth_point_negative_control(bt_model):

@@ -22,6 +22,14 @@ def test_every_singular_point_is_a_node(bk_model):
     assert report["orbit_lengths"] == [30, 15]
 
 
+def test_nodes_certified_from_any_representative(bk_model):
+    # every stored node has first nonzero coordinate 1; times omega it must
+    # still be certified, which needs the scaling into the chart
+    om = bk_model.omega
+    for pt in bk_model.singular_points:
+        assert bk.certify_node(bk_model, tuple(c * om for c in pt)) is None
+
+
 def test_smooth_point_negative_control(bk_model):
     # a point of the quartic that is not one of the 45 singular points
     field, om = bk_model.field, bk_model.omega

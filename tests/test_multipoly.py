@@ -9,7 +9,6 @@ from a5fano.multipoly import (
     PolyRing,
     RingMismatch,
     dehomogenize,
-    dense_univariate,
     divmod_single,
     evaluate,
     exact_square_root,
@@ -25,6 +24,19 @@ from a5fano.multipoly import (
 )
 
 QQ = rationals()
+
+
+def dense_univariate(p, var):
+    """Dense coefficient list when p involves only the given variable."""
+    for exps in p.terms:
+        for i, e in enumerate(exps):
+            if e and i != var:
+                raise RingMismatch("polynomial is not univariate in the given variable")
+    n = p.degree_in(var)
+    out = [p.ring.field.zero] * (max(n, 0) + 1)
+    for exps, c in p.terms.items():
+        out[exps[var]] = c
+    return out
 
 
 def _sigma(ring, k):
@@ -269,6 +281,13 @@ def test_ternary_cubic_smoothness():
     assert ternary_cubic_is_smooth(x ** 3 + y ** 3 + z ** 3 - 3 * x * y * z) is False
     assert ternary_cubic_is_smooth(x * y * z) is False
     assert ternary_cubic_is_smooth(x ** 3 + y ** 3 + z ** 3 + x * y * z) is True
+    # singular cubics that the former chart-by-chart certificate left undecided
+    assert ternary_cubic_is_smooth(
+        -2 * x ** 2 * z - x * y * z - 2 * x * z ** 2 - 2 * y ** 2 * z - 2 * y * z ** 2) is False
+    assert ternary_cubic_is_smooth(
+        2 * x ** 2 * z + x * y * z - x * z ** 2 + 2 * y ** 2 * z - y * z ** 2) is False
+    assert ternary_cubic_is_smooth(
+        2 * x ** 3 + x ** 2 * y - 2 * x ** 2 * z - x * y ** 2 - y ** 2 * z + y * z ** 2) is False
 
 
 def _random_cubic(ring, rng):
@@ -334,6 +353,54 @@ def test_planted_rational_singularities_are_detected():
         assert all(v == 0 for v in grads)
         assert ternary_cubic_is_smooth(cubic) is False
         found += 1
+
+
+def _sympy_is_smooth(sympy, expr, gens, **options):
+    """A cubic is smooth iff on each chart x_i = 1 its partials generate (1)."""
+    partials = [sympy.diff(expr, g) for g in gens]
+    for g in gens:
+        others = [h for h in gens if h != g]
+        chart = [p.subs(g, 1) for p in partials]
+        if list(sympy.groebner(chart, *others, order="grevlex", **options).exprs) != [1]:
+            return False
+    return True
+
+
+def test_cubic_smoothness_matches_sympy_groebner(bt_model):
+    sympy = pytest.importorskip("sympy")
+    from a5fano import barth
+
+    gens = sympy.symbols("x y z")
+
+    def to_sympy(cubic, scalar):
+        return sum(scalar(c) * sympy.prod([g ** e for g, e in zip(gens, exps)])
+                   for exps, c in cubic.terms.items())
+
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    monomials = [(e0, e1, 3 - e0 - e1) for e0 in range(4) for e1 in range(4 - e0)]
+    rng = random.Random(67)
+    verdicts = []
+    while len(verdicts) < 200:
+        # sparse supports with small coefficients hit the singular cubics often
+        support = rng.sample(monomials, rng.randint(1, 10))
+        cubic = ring({m: Fraction(rng.randint(-2, 2)) for m in support})
+        if cubic.is_zero():
+            continue
+        got = ternary_cubic_is_smooth(cubic)
+        assert got == _sympy_is_smooth(sympy, to_sympy(cubic, lambda c: sympy.Rational(str(c))), gens)
+        verdicts.append(got)
+    assert 50 < sum(verdicts) < 150
+
+    phi = (1 + sympy.sqrt(5)) / 2
+
+    def golden(c):
+        return sum(sympy.Rational(q.numerator, q.denominator) * phi ** k
+                   for k, q in enumerate(c.coords))
+
+    pinned = barth.pinned_cubic(bt_model, "+")
+    assert ternary_cubic_is_smooth(pinned) is True
+    assert _sympy_is_smooth(sympy, sympy.expand(to_sympy(pinned, golden)), gens,
+                            extension=sympy.sqrt(5))
 
 
 def test_smoothness_invariant_under_coordinate_changes():
