@@ -5,8 +5,12 @@ The golden-ratio field Q(phi) carries the sextic, its three rotation
 generators, the 65 singular points, and the 20 + 6 special planes.  The
 branch constant 2*sqrt(5*phi+3) never gets adjoined: surfaces store the sign
 and the cubic separately and every identity is arranged so only its square
-5*phi+3 appears.  The rationality construction runs over the degree-4 field
-containing sqrt(2*phi+1) and a rational-function field in one parameter.
+5*phi+3 appears.  A surface lies over a plane x3 = v.x, and its cubic is
+written in the coordinates x0, x1, x2 that the projection forgetting x3 puts
+on that plane, so the surface pairings and the check that a surface lies on
+the double solid are computations in P^2.  The rationality construction runs
+over the degree-4 field containing sqrt(2*phi+1) and a rational-function
+field in one parameter.
 """
 
 from __future__ import annotations
@@ -120,9 +124,12 @@ def load_plane_vectors(name, field, phi, fixtures_dir=None):
     return labels, [tuple(field(a) + phi * b for a, b in vec) for vec in vectors]
 
 
+_MAX_WORD_EXPONENT = 60  # the order of the rotation group
+
+
 def load_table1_words(labels, fixtures_dir=None):
     """The transport word of each xi label: "Id" or a product of N, R, M
-    with integer exponents, such as "R^2 M^3"."""
+    with integer exponents of absolute value at most 60, such as "R^2 M^3"."""
     data = _load_fixture("table1_words.json", fixtures_dir)
     if not (isinstance(data, dict) and all(isinstance(w, str) for w in data.values())):
         raise FixtureError("table1_words.json: expected an object of string words")
@@ -130,25 +137,31 @@ def load_table1_words(labels, fixtures_dir=None):
         raise FixtureError(f"table1_words.json: expected the {len(labels)} xi labels as keys")
     for label, word in data.items():
         try:
-            ok = {letter for letter, _ in parse_word(word)} <= {"N", "R", "M"}
+            ok = all(letter in {"N", "R", "M"} and abs(exp) <= _MAX_WORD_EXPONENT
+                     for letter, exp in parse_word(word))
         except ValueError:  # an exponent that is not an integer
             ok = False
         if not ok:
             raise FixtureError(
-                f"table1_words.json: word {word!r} for {label} is not a product of N, R, M"
+                f"table1_words.json: word {word!r} for {label} is not a product of "
+                f"N, R, M with exponents of absolute value at most {_MAX_WORD_EXPONENT}"
             )
     return data
 
 
-def load_table2(fixtures_dir=None):
+def load_table2(labels, fixtures_dir=None):
+    """The pinned 20x20 intersection matrix, its rows and columns in the
+    order of the xi labels, which the fixture's own labels must repeat."""
     data = _load_fixture("table2.json", fixtures_dir)
-    labels = data.get("labels") if isinstance(data, dict) else None
+    table_labels = data.get("labels") if isinstance(data, dict) else None
     rows = data.get("rows") if isinstance(data, dict) else None
-    if not (isinstance(labels, list) and len(labels) == 20
+    if not (isinstance(table_labels, list) and len(table_labels) == 20
             and isinstance(rows, list) and len(rows) == 20
             and all(isinstance(row, list) and len(row) == 20
                     and all(type(x) is int for x in row) for row in rows)):
         raise FixtureError("table2.json: expected 20 labels and 20 rows of 20 integers")
+    if table_labels != list(labels):
+        raise FixtureError("table2.json: labels are not the xi labels in xi-plane order")
     return data
 
 
@@ -163,8 +176,6 @@ class BarthModel:
     ring4: PolyRing
     ring3: PolyRing
     sextic: MPoly
-    lines6: tuple          # the six linear factors of the sextic's first half
-    branch_cubed: MPoly    # x3-part: (1+2phi) * x3^2 * (q2 - x3^2)^2
     gens3: dict            # N, R, M as 3x3 matrices
     gens4: dict            # same, extended by the fixed last coordinate
     group3: tuple          # all 60 rotation classes (3x3)
@@ -204,20 +215,11 @@ def build_barth(fixtures_dir=None):
     ring3 = PolyRing(field, ("x0", "x1", "x2"))
     x0, x1, x2, x3 = ring4.gens()
     phi2 = phi * phi
-
-    lines6 = (
-        x0 * phi - x1,
-        x1 * phi - x2,
-        x2 * phi - x0,
-        x0 * phi + x1,
-        x1 * phi + x2,
-        x2 * phi + x0,
-    )
-    quad = x0 ** 2 + x1 ** 2 + x2 ** 2 - x3 ** 2
-    branch_cubed = x3 ** 2 * quad ** 2 * (1 + 2 * phi)
+    # 4 l1...l6 - q3^2 with l1..l6 = phi x0 -+ x1, phi x1 -+ x2, phi x2 -+ x0
+    # and q3^2 = (1 + 2 phi) x3^2 (x0^2 + x1^2 + x2^2 - x3^2)^2
     sextic = (
         4 * (x0 ** 2 * phi2 - x1 ** 2) * (x1 ** 2 * phi2 - x2 ** 2) * (x2 ** 2 * phi2 - x0 ** 2)
-        - branch_cubed
+        - x3 ** 2 * (x0 ** 2 + x1 ** 2 + x2 ** 2 - x3 ** 2) ** 2 * (1 + 2 * phi)
     )
 
     gens3 = icosahedral_generators(field, phi)
@@ -246,8 +248,6 @@ def build_barth(fixtures_dir=None):
         ring4=ring4,
         ring3=ring3,
         sextic=sextic,
-        lines6=lines6,
-        branch_cubed=branch_cubed,
         gens3=gens3,
         gens4=gens4,
         group3=group3,
@@ -332,6 +332,12 @@ def restrict_to_xi(model, v):
     return substitute(model.sextic, [x0, x1, x2, image3])
 
 
+def is_doubled_cubic(model, v, cubic):
+    """Whether the sextic on the plane x3 = v.x is the restriction constant
+    times cubic^2."""
+    return restrict_to_xi(model, v) == cubic * cubic * restriction_constant(model)
+
+
 def xi_cubic(model, v):
     """The cubic whose square (times the restriction constant) is the sextic
     restricted to the plane x3 = v.x; sign fixed by an in-field square root."""
@@ -362,14 +368,10 @@ def verify_xi_restrictions(model):
         if not smooth:
             raise RestrictionMismatch(f"cubic for {label} is not smooth")
     # the two pinned closed forms, verbatim
-    c_plus = pinned_cubic(model, "+")
-    v_plus = model.xi_vectors[model.xi_labels.index("(1,1,1)")]
-    if restrict_to_xi(model, v_plus) != c_plus * c_plus * restriction_constant(model):
-        raise RestrictionMismatch("pinned closed form for (1,1,1) fails")
-    c_minus = pinned_cubic(model, "-")
-    v_minus = model.xi_vectors[model.xi_labels.index("(1,-1,-1)")]
-    if restrict_to_xi(model, v_minus) != c_minus * c_minus * restriction_constant(model):
-        raise RestrictionMismatch("pinned closed form for (1,-1,-1) fails")
+    for variant, label in (("+", "(1,1,1)"), ("-", "(1,-1,-1)")):
+        v = model.xi_vectors[model.xi_labels.index(label)]
+        if not is_doubled_cubic(model, v, pinned_cubic(model, variant)):
+            raise RestrictionMismatch(f"pinned closed form for {label} fails")
     return out
 
 
@@ -459,28 +461,24 @@ def transport_surface(surface, g3):
 
 
 def build_solid_surfaces(model):
-    """The plus family: the 20-surface orbit of the seed over (1,1,1)."""
+    """The plus family: the 20-surface orbit of the seed over (1,1,1).
+
+    A surface over the plane x3 = v.x lies on the double solid when the
+    sextic restricted to that plane is the restriction constant times the
+    surface's cubic squared (the constant is -C^2, C the branch constant).
+    """
     seed = SolidSurface(
         tuple(model.xi_vectors[model.xi_labels.index("(1,1,1)")]),
         "+",
         pinned_cubic(model, "+"),
     )
-    members = {(seed.v, seed.cubic): seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for srf in frontier:
-            for g in model.gens3.values():
-                moved = transport_surface(srf, g)
-                key = (moved.v, moved.cubic)
-                if key not in members:
-                    members[key] = moved
-                    nxt.append(moved)
-        frontier = nxt
+    members = orbit_of(seed, list(model.gens3.values()),
+                       act=lambda g, srf: transport_surface(srf, g),
+                       canonicalize=lambda srf: srf).members
     if len(members) != 20:
         raise SurfaceNotOnSolid(f"orbit has {len(members)} members, expected 20")
     by_v = {}
-    for srf in members.values():
+    for srf in members:
         if srf.v in by_v:
             raise SurfaceNotOnSolid("two orbit members over one plane")
         by_v[srf.v] = srf
@@ -489,30 +487,9 @@ def build_solid_surfaces(model):
     plus = tuple(by_v[v] for v in model.xi_vectors)
     minus = tuple(s.flipped() for s in plus)
     for srf in plus:
-        _verify_surface_on_solid(model, srf)
+        if not is_doubled_cubic(model, srf.v, srf.cubic):
+            raise SurfaceNotOnSolid(f"surface over {srf.v} misses the double solid")
     return plus, minus
-
-
-def _verify_surface_on_solid(model, srf):
-    """C^2 cubic^2 + 4 l1..l6 - q3^2 must vanish on the surface's plane."""
-    ring4 = model.ring4
-    x0, x1, x2, x3 = ring4.gens()
-    csq = model.field(4) * (5 * model.phi + 3)
-    cubic4 = _lift_to_ring4(model, srf.cubic)
-    prod = ring4.one
-    for l in model.lines6:
-        prod = prod * l
-    total = cubic4 * cubic4 * csq + prod * 4 - model.branch_cubed
-    image3 = x0 * srf.v[0] + x1 * srf.v[1] + x2 * srf.v[2]
-    if not substitute(total, [x0, x1, x2, image3]).is_zero():
-        raise SurfaceNotOnSolid(f"surface over {srf.v} misses the double solid")
-
-
-def _lift_to_ring4(model, cubic3):
-    terms = {}
-    for exps, c in cubic3.terms.items():
-        terms[exps + (0,)] = c
-    return MPoly(model.ring4, terms)
 
 
 def verify_table1(model, plus, fixtures_dir=None):
@@ -531,22 +508,24 @@ def verify_table1(model, plus, fixtures_dir=None):
 
 
 def surface_pair_intersection(model, a, b):
-    """Pairing of two same-sign surfaces: -2, 1 (common curve), or 0."""
+    """Pairing of two same-sign surfaces: -2, 1 (common curve), or 0.
+
+    Forgetting x3 maps the plane x3 = v.x isomorphically onto P^2, and it
+    maps the line where the planes of a and b meet onto (a.v - b.v).x = 0.
+    Both cubics are written in those P^2 coordinates, so the two surfaces
+    share a curve exactly when a.cubic - b.cubic vanishes on that line, that
+    is, when the linear form divides it.
+    """
     if a.sign != b.sign:
         raise ValueError("pairing is defined within one sign family")
-    if a.v == b.v and a.cubic == b.cubic:
-        return -2
-    field = model.field
-    rows = [
-        [-a.v[0], -a.v[1], -a.v[2], field.one],
-        [-b.v[0], -b.v[1], -b.v[2], field.one],
-    ]
-    basis = kernel_basis(rows)
-    if len(basis) != 2:
-        raise ValueError("plane pair does not meet in a line")
-    diff = _lift_to_ring4(model, a.cubic - b.cubic)
-    restricted = restrict_to_line(diff, basis[0], basis[1])
-    return 1 if restricted.is_zero() else 0
+    if a.v == b.v:
+        if a.cubic == b.cubic:
+            return -2
+        raise ValueError("two surfaces over one plane")
+    x = model.ring3.gens()
+    line = sum((xi * (p - q) for xi, p, q in zip(x, a.v, b.v)), model.ring3.zero)
+    _, remainder = divmod_single(a.cubic - b.cubic, line)
+    return 1 if remainder.is_zero() else 0
 
 
 def build_table2(model, family):
@@ -603,22 +582,21 @@ def verify_table2_and_ranks(model, plus, minus, fixtures_dir=None):
         m.v != p.v or m.sign == p.sign or m.cubic != -p.cubic for p, m in zip(plus, minus)
     ):
         raise Table2Mismatch("minus family is not the plus family flipped")
-    fixture = load_table2(fixtures_dir)
+    fixture = load_table2(model.xi_labels, fixtures_dir)
     gram_plus = build_table2(model, plus)
     mismatches = []
     for i in range(20):
         for j in range(20):
-            if gram_plus.matrix.entries[i][j] != fixture["rows"][i][j]:
-                mismatches.append((i, j, fixture["rows"][i][j],
-                                   gram_plus.matrix.entries[i][j]))
+            if gram_plus.entries[i][j] != fixture["rows"][i][j]:
+                mismatches.append((i, j, fixture["rows"][i][j], gram_plus.entries[i][j]))
     if mismatches:
         i, j, want, got = mismatches[0]
         raise Table2Mismatch(
-            f"first mismatch at ({fixture['labels'][i]}, {fixture['labels'][j]}): "
+            f"first mismatch at ({model.xi_labels[i]}, {model.xi_labels[j]}): "
             f"fixture {want}, computed {got}; {len(mismatches)} total"
         )
     row_ok = all(
-        sorted(row) == [-2] + [0] * 7 + [1] * 12 for row in gram_plus.matrix.entries
+        sorted(row) == [-2] + [0] * 7 + [1] * 12 for row in gram_plus.entries
     )
     perms = surface_permutations(model, plus)
     orbits = index_orbits(perms)

@@ -7,7 +7,9 @@ certificates, the nine-points-per-plane incidence, the combinatorial
 meet-type rule for plane pairs (cross-checked against linear algebra for all
 780 pairs), the Gram ranks of the full plane lattice and its two 20-plane
 blocks, and the invariant ranks under the full coordinate-permutation group
-and its alternating and icosahedral subgroups.
+and its alternating and icosahedral subgroups.  A plane is held as the three
+coefficient rows of its linear forms (`plane_rows`); its incidences and
+meets are linear algebra on those rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .groups import (
     NONSTANDARD_A5_GENERATORS,
     S6_GENERATORS,
     STANDARD_A5_GENERATORS,
-    Perm,
     alternating_group_a6,
     canonical_point,
     cycle_type_counts,
@@ -34,6 +35,7 @@ from .groups import (
 from .lattice import (
     GramMatrix,
     invariant_dimension_via_trace,
+    kernel_basis,
     orbit_sum_gram,
     rank,
 )
@@ -122,28 +124,17 @@ def elementary_symmetric(ring, k):
     return acc
 
 
-def plane_forms(model, plane):
-    """The three linear forms cutting out the plane inside P^5."""
-    x = model.ring6.gens()
-    om = model.omega
-    a, b, c = plane.cycle()
-    return (x[b] - x[a] * om, x[c] - x[a] * (om * om), model.sigma1)
-
-
-def plane_basis(model, plane):
-    """Three spanning points of the plane, as vectors over Q(omega)."""
+def plane_rows(model, plane):
+    """The coefficient rows of the three linear forms cutting out the plane
+    inside P^5: x_b - omega x_a, x_c - omega^2 x_a and sigma1, for the
+    plane's cycle (a, b, c)."""
     field, om = model.field, model.omega
     a, b, c = plane.cycle()
-    rest = [i for i in range(6) if i not in (a, b, c)]
-    k1, k2, k3 = rest
-    zero, one = field.zero, field.one
-    b1 = [zero] * 6
-    b1[a], b1[b], b1[c] = one, om, om * om
-    b2 = [zero] * 6
-    b2[k1], b2[k3] = one, -one
-    b3 = [zero] * 6
-    b3[k2], b3[k3] = one, -one
-    return (tuple(b1), tuple(b2), tuple(b3))
+    twist_b = [field.zero] * 6
+    twist_b[a], twist_b[b] = -om, field.one
+    twist_c = [field.zero] * 6
+    twist_c[a], twist_c[c] = -(om * om), field.one
+    return [twist_b, twist_c, [field.one] * 6]
 
 
 def build_model():
@@ -156,16 +147,14 @@ def build_model():
     minus_sum = -(g5[0] + g5[1] + g5[2] + g5[3] + g5[4])
     quartic_p4 = substitute(sigma4, list(g5) + [minus_sum])
 
-    s6_gens = [Perm.from_cycles(6, [(0, 1)]), Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
-
     def perm_act(g, pt):
         return g.act_point(pt)
 
     pt30 = tuple(field(c) for c in (1, 1, om, om, om * om, om * om))
     pt15 = tuple(field(c) for c in (1, -1, 0, 0, 0, 0))
-    orbit30 = orbit_of(pt30, s6_gens, act=perm_act, canonicalize=canonical_point,
+    orbit30 = orbit_of(pt30, S6_GENERATORS, act=perm_act, canonicalize=canonical_point,
                        group_order=720)
-    orbit15 = orbit_of(pt15, s6_gens, act=perm_act, canonicalize=canonical_point,
+    orbit15 = orbit_of(pt15, S6_GENERATORS, act=perm_act, canonicalize=canonical_point,
                        group_order=720)
     points = tuple(sorted(orbit30.members | orbit15.members,
                           key=lambda p: tuple(str(c) for c in p)))
@@ -212,17 +201,17 @@ def verify_nodes(model):
 
 
 def point_on_plane(model, plane, point):
-    forms = plane_forms(model, plane)
-    return all(evaluate(f, point).is_zero() for f in forms)
+    zero = model.field.zero
+    return all(sum((c * x for c, x in zip(row, point)), zero).is_zero()
+               for row in plane_rows(model, plane))
 
 
 def plane_lies_on_quartic(model, plane):
-    basis = plane_basis(model, plane)
-    ring3 = PolyRing(model.field, ("t", "u", "v"))
-    t, u, v = ring3.gens()
-    images = []
-    for i in range(6):
-        images.append(t * basis[0][i] + u * basis[1][i] + v * basis[2][i])
+    """Whether sigma4 vanishes on the span of the plane's three kernel
+    vectors."""
+    b0, b1, b2 = kernel_basis(plane_rows(model, plane))
+    t, u, v = PolyRing(model.field, ("t", "u", "v")).gens()
+    images = [t * b0[i] + u * b1[i] + v * b2[i] for i in range(6)]
     return substitute(model.sigma4, images).is_zero()
 
 
@@ -248,11 +237,7 @@ def plane_pair_meet(model, a, b):
     """'line' or 'point' according to the projective dimension of the meet."""
     if a == b:
         raise IdenticalPlanes(a.label())
-    rows = []
-    for form in plane_forms(model, a) + plane_forms(model, b):
-        rows.append([form.coefficient(tuple(1 if j == i else 0 for j in range(6)))
-                     for i in range(6)])
-    r = rank(rows)
+    r = rank(plane_rows(model, a) + plane_rows(model, b))
     if r == 4:
         return "line"
     if r == 5:

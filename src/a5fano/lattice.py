@@ -16,7 +16,8 @@ and for a subgroup H of G the average over H is the average over one
 representative per G-conjugacy class, weighted by how many elements of H lie
 in that class.
 
-Scalars are duck-typed: plain int/Fraction, FieldElement, and
+Every function takes a matrix as a list or tuple of equally long rows.  The
+scalars are duck-typed: plain int/Fraction, FieldElement, and
 RationalFunction entries all work, since every one of them supports exact
 +, -, *, / and truth-testing.
 """
@@ -40,37 +41,10 @@ def _lift(x):
 
 
 def _rows_of(m):
-    rows = m.entries if isinstance(m, ExactMatrix) else m
-    a = [[_lift(x) for x in r] for r in rows]
+    a = [[_lift(x) for x in r] for r in m]
     if any(len(r) != len(a[0]) for r in a):
         raise ValueError("ragged matrix")
     return a
-
-
-class ExactMatrix:
-    """A rectangular matrix of exact scalars."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(r) != self.cols for r in entries):
-            raise ValueError("ragged matrix")
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def transpose(self):
-        return ExactMatrix(list(zip(*self.entries)))
 
 
 def _echelon(m):
@@ -179,23 +153,24 @@ SELF_PAIRING = -2  # self-intersection of a smooth rational curve on a K3 sectio
 
 
 class GramMatrix:
-    """Symmetric pairing matrix of labelled divisor classes, diagonal -2."""
+    """Symmetric pairing matrix of labelled divisor classes, diagonal -2.
 
-    __slots__ = ("labels", "matrix", "_free_and_basis")
+    `entries` is the tuple of its rows."""
+
+    __slots__ = ("labels", "entries", "_free_and_basis")
 
     def __init__(self, labels, entries):
         self.labels = tuple(labels)
-        mat = ExactMatrix(entries) if not isinstance(entries, ExactMatrix) else entries
+        self.entries = tuple(tuple(row) for row in entries)
         n = len(self.labels)
-        if mat.rows != n or mat.cols != n:
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError("label/matrix size mismatch")
         for i in range(n):
-            if mat.entries[i][i] != SELF_PAIRING:
+            if self.entries[i][i] != SELF_PAIRING:
                 raise ValueError(f"diagonal entry at {i} is not {SELF_PAIRING}")
             for j in range(i + 1, n):
-                if mat.entries[i][j] != mat.entries[j][i]:
+                if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError(f"pairing not symmetric at ({i},{j})")
-        self.matrix = mat
         self._free_and_basis = None
 
     @property
@@ -203,12 +178,12 @@ class GramMatrix:
         return len(self.labels)
 
     def entry(self, i, j):
-        return self.matrix.entries[i][j]
+        return self.entries[i][j]
 
     def submatrix(self, indices):
         indices = list(indices)
         labels = [self.labels[i] for i in indices]
-        entries = [[self.matrix.entries[i][j] for j in indices] for i in indices]
+        entries = [[self.entries[i][j] for j in indices] for i in indices]
         return GramMatrix(labels, entries)
 
     def rank(self):
@@ -219,12 +194,13 @@ class GramMatrix:
         """The free columns and the kernel basis of `_kernel`, computed once;
         a GramMatrix is not changed after it is made."""
         if self._free_and_basis is None:
-            self._free_and_basis = _kernel(self.matrix)
+            self._free_and_basis = _kernel(self.entries)
         return self._free_and_basis
 
 
 def orbit_sum_gram(gram, orbits):
-    """Pairing matrix of orbit sums for a partition of the class list."""
+    """Rows of the pairing matrix of orbit sums for a partition of the class
+    list."""
     n = gram.size
     seen = set()
     for orbit in orbits:
@@ -234,18 +210,8 @@ def orbit_sum_gram(gram, orbits):
             seen.add(i)
     if len(seen) != n:
         raise InvalidPartition("orbits do not cover every class")
-    entries = []
-    for oa in orbits:
-        row = []
-        for ob in orbits:
-            total = 0
-            for i in oa:
-                gi = gram.matrix.entries[i]
-                for j in ob:
-                    total += gi[j]
-            row.append(Fraction(total))
-        entries.append(row)
-    return ExactMatrix(entries)
+    return [[sum(gram.entries[i][j] for i in oa for j in ob) for ob in orbits]
+            for oa in orbits]
 
 
 def invariant_dimension_via_trace(gram, weighted, gens):
@@ -267,7 +233,7 @@ def invariant_dimension_via_trace(gram, weighted, gens):
         raise ValueError("no generators")
     if not weighted or any(not isinstance(w, int) or w < 1 for _, w in weighted):
         raise ValueError("weights must be positive integers")
-    entries = gram.matrix.entries
+    entries = gram.entries
     for images in {images for images, _ in weighted}.union(gens):
         if sorted(images) != list(range(n)):
             raise ActionNotGramPreserving("element does not permute the classes")

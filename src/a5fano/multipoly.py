@@ -463,6 +463,12 @@ def exact_square_root(p):
     A monic p needs no scalar square root, so it may have coefficients in
     any field; otherwise the leading coefficient's root comes from
     `scalar_sqrt`, which knows number fields only.
+
+    The loop ends.  The leading monomial of r = p - q*q lies below that of
+    p, so each term added to q lies below t1, and each step cancels r's
+    leading term and adds only terms below it.  So r's leading monomial
+    strictly falls in grlex order while staying below p's, and only finitely
+    many monomials lie below a given one.
     """
     if p.is_zero():
         return p
@@ -477,11 +483,7 @@ def exact_square_root(p):
     q = t1
     r = p - q * q
     e1, c1 = t1.leading()
-    guard = 100000
     while not r.is_zero():
-        guard -= 1
-        if guard < 0:
-            return None
         we, wc = r.leading()
         diff = tuple(a - b for a, b in zip(we, e1))
         if any(x < 0 for x in diff):

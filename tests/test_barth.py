@@ -1,11 +1,13 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from a5fano import barth as bt
 from a5fano import cli
 from a5fano.groups import canonical_point, eval_word
-from a5fano.multipoly import evaluate, gradient, node_failure
+from a5fano.lattice import kernel_basis
+from a5fano.multipoly import MPoly, evaluate, gradient, node_failure, restrict_to_line
 
 
 def test_orbit_sizes_and_disjointness(bt_model):
@@ -141,6 +143,46 @@ def test_pairing_examples(bt_model, bt_surfaces):
     assert bt.surface_pair_intersection(bt_model, a, a) == -2
 
 
+def p3_pairing(model, a, b):
+    """The pairing of two distinct surfaces worked out in P^3: the line where
+    their planes x3 = v.x meet, as the kernel of the two 4-wide plane rows,
+    and the difference of the cubics, lifted to P^3, restricted to it."""
+    one = model.field.one
+    base, direction = kernel_basis([[-c for c in a.v] + [one], [-c for c in b.v] + [one]])
+    diff = a.cubic - b.cubic
+    lifted = MPoly(model.ring4, {exps + (0,): c for exps, c in diff.terms.items()})
+    return 1 if restrict_to_line(lifted, base, direction).is_zero() else 0
+
+
+def test_pairing_matches_the_p3_route(bt_model, bt_surfaces):
+    plus, _ = bt_surfaces
+    for a, b in combinations(plus, 2):
+        assert bt.surface_pair_intersection(bt_model, a, b) == p3_pairing(bt_model, a, b)
+
+
+def test_pairing_refuses_two_surfaces_over_one_plane(bt_model, bt_surfaces):
+    plus, minus = bt_surfaces
+    other = bt.SolidSurface(plus[0].v, plus[0].sign, minus[0].cubic)
+    with pytest.raises(ValueError, match="one plane"):
+        bt.surface_pair_intersection(bt_model, plus[0], other)
+    with pytest.raises(ValueError, match="one sign family"):
+        bt.surface_pair_intersection(bt_model, plus[0], minus[1])
+
+
+def test_sextic_is_four_line_products_less_the_branch_square(bt_model):
+    # the fact behind the surface-on-solid check, which compares the sextic's
+    # plane restrictions with the squared cubics only
+    x0, x1, x2, x3 = bt_model.ring4.gens()
+    phi = bt_model.phi
+    lines6 = (x0 * phi - x1, x1 * phi - x2, x2 * phi - x0,
+              x0 * phi + x1, x1 * phi + x2, x2 * phi + x0)
+    branch_cubed = x3 ** 2 * (x0 ** 2 + x1 ** 2 + x2 ** 2 - x3 ** 2) ** 2 * (1 + 2 * phi)
+    product = bt_model.ring4.one
+    for line in lines6:
+        product = product * line
+    assert product * 4 - branch_cubed == bt_model.sextic
+
+
 def test_table2_fixture_rank_and_invariants(bt_table2):
     assert bt_table2["entries_matching"] == 400
     assert bt_table2["row_multiset_ok"] is True
@@ -148,12 +190,12 @@ def test_table2_fixture_rank_and_invariants(bt_table2):
     assert bt_table2["rank"] == 14
     assert bt_table2["orbit_sum_rank"] == 1
     assert bt_table2["trace_dimension"] == 1
-    from a5fano.lattice import kernel_basis, orbit_sum_gram
+    from a5fano.lattice import orbit_sum_gram
 
-    assert len(kernel_basis(bt_table2["gram"].matrix)) == 6
+    assert len(kernel_basis(bt_table2["gram"].entries)) == 6
     # single-orbit compression: every row sums to -2 + 12 = 10, total 200
     osum = orbit_sum_gram(bt_table2["gram"], [list(range(20))])
-    assert osum.entries[0][0] == 200
+    assert osum == [[200]]
 
 
 def test_first_row_zero_pattern(bt_model, bt_table2):
@@ -212,7 +254,7 @@ def test_minus_family_matrix_equals_plus(bt_model, bt_surfaces, bt_table2):
     # oracle for the flip check that stands in for this rebuild
     _, minus = bt_surfaces
     gram_minus = bt.build_table2(bt_model, minus)
-    assert gram_minus.matrix.entries == bt_table2["gram"].matrix.entries
+    assert gram_minus.entries == bt_table2["gram"].entries
 
 
 def test_minus_family_must_be_plus_flipped(bt_model, bt_surfaces):

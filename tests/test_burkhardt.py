@@ -6,6 +6,7 @@ import pytest
 
 from a5fano import burkhardt as bk
 from a5fano.groups import Perm
+from a5fano.lattice import rank
 from a5fano.multipoly import evaluate, gradient
 
 
@@ -108,9 +109,9 @@ def test_kernel_dimensions(bk_gram):
     from a5fano.lattice import kernel_basis
 
     gram, block_without_5, block_with_5 = bk_gram
-    assert len(kernel_basis(gram.matrix)) == 40 - 16
-    assert len(kernel_basis(block_without_5.matrix)) == 20 - 16
-    assert len(kernel_basis(block_with_5.matrix)) == 20 - 12
+    assert len(kernel_basis(gram.entries)) == 40 - 16
+    assert len(kernel_basis(block_without_5.entries)) == 20 - 16
+    assert len(kernel_basis(block_with_5.entries)) == 20 - 12
 
 
 def test_gram_matches_sympy_oracle(bk_gram):
@@ -181,9 +182,45 @@ def test_standard_a5_splits_planes_by_fifth_coordinate(bk_model, bk_gram):
         assert len(contains5) == 1
 
 
+def closed_form_plane_basis(model, plane):
+    """Three spanning points of the plane over the cycle (a, b, c), written
+    down by hand: (1, omega, omega^2) on a, b, c, and two differences of unit
+    vectors on the other three coordinates."""
+    field, om = model.field, model.omega
+    a, b, c = plane.cycle()
+    k1, k2, k3 = [i for i in range(6) if i not in (a, b, c)]
+    zero, one = field.zero, field.one
+    b1 = [zero] * 6
+    b1[a], b1[b], b1[c] = one, om, om * om
+    b2 = [zero] * 6
+    b2[k1], b2[k3] = one, -one
+    b3 = [zero] * 6
+    b3[k2], b3[k3] = one, -one
+    return (tuple(b1), tuple(b2), tuple(b3))
+
+
+def dot(row, point, field):
+    return sum((c * x for c, x in zip(row, point)), field.zero)
+
+
+def test_plane_rows_cut_out_the_closed_form_planes(bk_model):
+    # three independent points in the kernel of three independent rows: the
+    # rows cut out exactly the span of the points
+    field = bk_model.field
+    for plane in bk_model.planes:
+        rows = bk.plane_rows(bk_model, plane)
+        points = closed_form_plane_basis(bk_model, plane)
+        assert rank(rows) == 3 and rank(points) == 3, plane
+        for row in rows:
+            for point in points:
+                assert dot(row, point, field).is_zero(), plane
+
+
 def test_plane_action_matches_geometry(bk_model):
-    # g must move the spanning points of each plane onto the plane that
-    # perm_on_plane names as its image
+    # g must move each plane onto the plane that perm_on_plane names as its
+    # image: the moved rows and the image's rows span one 3-dimensional space,
+    # and the moved spanning points satisfy the image's rows
+    field = bk_model.field
     gens = [
         Perm.from_cycles(6, [(0, 1)]),
         Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)]),
@@ -191,10 +228,12 @@ def test_plane_action_matches_geometry(bk_model):
     ]
     for g in gens:
         for plane in bk_model.planes:
-            forms = bk.plane_forms(bk_model, bk.perm_on_plane(g, plane))
-            for vec in bk.plane_basis(bk_model, plane):
+            image_rows = bk.plane_rows(bk_model, bk.perm_on_plane(g, plane))
+            moved_rows = [g.act_point(row) for row in bk.plane_rows(bk_model, plane)]
+            assert rank(moved_rows + image_rows) == 3, (g, plane)
+            for vec in closed_form_plane_basis(bk_model, plane):
                 moved = g.act_point(vec)
-                assert all(evaluate(f, moved).is_zero() for f in forms), (g, plane)
+                assert all(dot(row, moved, field).is_zero() for row in image_rows), (g, plane)
 
 
 def test_plane_permutation_is_functorial(bk_gram):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -56,6 +57,16 @@ def test_verify_barth_table2_json(capsys):
     assert chk["name"] == "barth/table2"
     assert "400/400 entries" in chk["actual"]
     assert "rank 14" in chk["actual"]
+
+
+def test_verify_all_gives_the_pinned_verdicts():
+    # the benchmark's verdict file, read only
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json"
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    report = cli.run_suite("all")
+    assert {chk["name"]: {k: v for k, v in chk.items() if k not in ("name", "millis")}
+            for chk in report["checks"]} == pinned
+    assert report["summary"] == {"pass": 16, "fail": 0, "skipped": 0}
 
 
 def test_full_burkhardt_suite_passes(burkhardt_report):
@@ -123,14 +134,26 @@ def test_malformed_json_fixture_names_the_file(tmp_path, capsys):
     assert "xi_planes.json" in actual and "malformed JSON" in actual
 
 
+def swap_first_labels(data):
+    data["labels"][0], data["labels"][1] = data["labels"][1], data["labels"][0]
+
+
 def test_misshapen_table2_names_the_file(tmp_path, capsys):
-    copy_fixtures(tmp_path)
-    data = json.loads((tmp_path / "table2.json").read_text())
-    data["rows"] = data["rows"][:19]
-    (tmp_path / "table2.json").write_text(json.dumps(data))
-    code, actual = run_with_fixtures(tmp_path, "table2", capsys)
-    assert code == 1
-    assert "table2.json" in actual and "20 rows of 20 integers" in actual
+    cuts = [
+        (lambda data: data.__setitem__("rows", data["rows"][:19]), "20 rows of 20 integers"),
+        (lambda data: data.__setitem__("labels", [1] * 20), "not the xi labels"),
+        (swap_first_labels, "not the xi labels"),
+    ]
+    for k, (cut, message) in enumerate(cuts):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        copy_fixtures(directory)
+        data = json.loads((directory / "table2.json").read_text())
+        cut(data)
+        (directory / "table2.json").write_text(json.dumps(data))
+        code, actual = run_with_fixtures(directory, "table2", capsys)
+        assert code == 1
+        assert "table2.json" in actual and message in actual
 
 
 def test_misshapen_plane_fixture_names_the_file(tmp_path, capsys):
@@ -159,6 +182,9 @@ def test_misshapen_table1_words_names_the_file(tmp_path, capsys):
         lambda words: {**words, "(1,1,1)": 3},
         lambda words: {k: w for k, w in words.items() if k != "(1,1,-1)"},
         lambda words: list(words.values()),
+        # refused before a single product is taken: either would run for minutes
+        lambda words: {**words, "(1,1,1)": "R^1000000"},
+        lambda words: {**words, "(1,-1,-1)": "R^-1000000000"},
     ]
     for k, cut in enumerate(cuts):
         directory = tmp_path / str(k)
@@ -166,7 +192,9 @@ def test_misshapen_table1_words_names_the_file(tmp_path, capsys):
         copy_fixtures(directory)
         words = json.loads((directory / "table1_words.json").read_text())
         (directory / "table1_words.json").write_text(json.dumps(cut(words)))
+        started = time.monotonic()
         code, actual = run_with_fixtures(directory, "table1", capsys)
+        assert time.monotonic() - started < 10
         assert code == 1
         assert "table1_words.json" in actual
 
